@@ -7,7 +7,7 @@ import (
 	"os"
 	"strings"
 
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/cli"
 	"solarsched/internal/obs"
 	"solarsched/internal/perfbench"
@@ -180,7 +180,7 @@ func printSnapshot(s *perfbench.Snapshot) {
 // writeSnapshot writes the snapshot atomically so a crash mid-run never
 // leaves a truncated trajectory point.
 func writeSnapshot(path string, s *perfbench.Snapshot) error {
-	w, err := ckpt.NewAtomicWriter(path, 0o644)
+	w, err := atomicio.NewWriter(path, 0o644)
 	if err != nil {
 		return err
 	}

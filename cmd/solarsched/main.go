@@ -39,7 +39,7 @@ import (
 	"strings"
 	"time"
 
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/cli"
 	"solarsched/internal/experiments"
 	"solarsched/internal/obs"
@@ -135,7 +135,7 @@ func run() int {
 		span.End()
 		if err != nil {
 			logger.Error("experiment failed", "experiment", name, "err", err)
-			if errors.Is(err, sim.ErrInterrupted) || errors.Is(err, context.Canceled) {
+			if errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled) {
 				stopAndEmit(stop, &of) // flush what the finished experiments gathered
 			}
 			return cli.ExitCode(err)
@@ -312,7 +312,7 @@ func writeCSV(dir, name string, tbl *stats.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	w, err := ckpt.NewAtomicWriter(filepath.Join(dir, name+".csv"), 0o644)
+	w, err := atomicio.NewWriter(filepath.Join(dir, name+".csv"), 0o644)
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/sim"
 )
 
@@ -238,7 +239,7 @@ func (st *Store) Save(rs *sim.RunState) error {
 		os.Remove(tmpName)
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := atomicio.SyncDir(dir); err != nil {
 		return err
 	}
 	st.journal(rs)

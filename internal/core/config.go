@@ -131,20 +131,14 @@ func Alpha(g *task.Graph, te []bool, harvest float64) float64 {
 }
 
 // FinePolicy returns the fine-grained slot stage of §5.2 for a period with
-// the given α: the simple inter-task stage (plain earliest-deadline ASAP,
-// cheap to run on the node) when |1−α| > δ, the intra-task load-matching
-// stage otherwise.
+// the given α. When |1−α| > δ the supply/demand ratio is extreme and there
+// is nothing to match, so the stage is the simple inter-task scheduling:
+// tasks run whole, cheapest remaining energy first (meeting the most
+// deadlines with a fixed store), with urgent tasks jumping the queue.
+// Otherwise it is the intra-task load-matching stage.
 func FinePolicy(g *task.Graph, alpha, delta float64) sim.SlotPolicy {
 	if math.Abs(1-alpha) > delta {
-		return interStagePolicy(g)
+		return sched.CheapestFirstPolicy(g)
 	}
 	return sched.NewIntraMatch(g).Policy()
-}
-
-// interStagePolicy is the "simple inter-task scheduling" of §5.2: when the
-// supply/demand ratio is extreme there is nothing to match, so tasks run
-// whole, cheapest-remaining-energy first (meeting the most deadlines with a
-// fixed store), with urgent tasks jumping the queue.
-func interStagePolicy(g *task.Graph) sim.SlotPolicy {
-	return sched.CheapestFirstPolicy(g)
 }

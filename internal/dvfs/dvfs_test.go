@@ -111,9 +111,9 @@ func TestRunScaledEnergyAdvantage(t *testing.T) {
 		{ID: 0, Name: "x", ExecTime: 120, Power: 0.040, Deadline: 1800, NVP: 0},
 	}, nil, 1)
 	full := nvp.MustNewSet(g)
-	pFull := full.RunScaled([]int{0}, []float64{1}, sim.DVFSPowerExponent, 60)
+	pFull := full.Run([]int{0}, []float64{1}, 60)
 	half := nvp.MustNewSet(g)
-	pHalf := half.RunScaled([]int{0}, []float64{0.5}, sim.DVFSPowerExponent, 60)
+	pHalf := half.Run([]int{0}, []float64{0.5}, 60)
 	if full.Remaining(0) != 60 || half.Remaining(0) != 90 {
 		t.Fatalf("progress wrong: full %v, half %v", full.Remaining(0), half.Remaining(0))
 	}
@@ -151,40 +151,58 @@ func TestLoadTuneBeatsIntraMatch(t *testing.T) {
 	}
 }
 
+// fixedSpeed offers every task each slot and runs them all at speed f.
+type fixedSpeed struct{ f float64 }
+
+func (fixedSpeed) Name() string                               { return "fixed-speed" }
+func (fixedSpeed) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.KeepCap }
+func (fixedSpeed) Slot(*sim.SlotView) []int                   { return []int{0, 1} }
+func (s fixedSpeed) Speeds(_ *sim.SlotView, selected []int) []float64 {
+	out := make([]float64, len(selected))
+	for i := range out {
+		out[i] = s.f
+	}
+	return out
+}
+
+type firstSlot struct{ rec *sim.SlotRecord }
+
+func (r *firstSlot) Record(rec sim.SlotRecord) {
+	if r.rec == nil {
+		r.rec = &rec
+	}
+}
+
 func TestExecSlotDVFSTrimsWithSpeeds(t *testing.T) {
 	tasks := []task.Task{
 		{ID: 0, Name: "hi", ExecTime: 300, Power: 0.020, Deadline: 1800, NVP: 0},
 		{ID: 1, Name: "lo", ExecTime: 300, Power: 0.020, Deadline: 1800, NVP: 1},
 	}
 	g := task.NewGraph("pair", tasks, nil, 2)
-	ts := nvp.MustNewSet(g)
-	cap := supercap.New(10, supercap.DefaultParams()) // empty
-	// Solar supports exactly one full-speed task.
-	st := sim.ExecSlotDVFS(cap, ts, []int{0, 1},
-		func(run []int) []float64 {
-			out := make([]float64, len(run))
-			for i := range out {
-				out[i] = 1
-			}
-			return out
-		}, 0.021, 60, 1.0)
-	if len(st.Ran) != 1 {
+	tb := solar.TimeBase{Days: 1, PeriodsPerDay: 1, SlotsPerPeriod: 30, SlotSeconds: 60}
+	tr := solar.NewTrace(tb)
+	tr.Set(0, 0, 0, 0.021) // solar supports exactly one full-speed task
+	eng, err := sim.New(sim.Config{Trace: tr, Graph: g, Capacitances: []float64{10}, DirectEff: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot0 := func(f float64) sim.SlotRecord {
+		rec := &firstSlot{}
+		if _, err := eng.Run(context.Background(), fixedSpeed{f}, sim.WithRecorder(rec)); err != nil {
+			t.Fatal(err)
+		}
+		return *rec.rec
+	}
+	// The capacitor starts empty, so the brownout trim drops the tail.
+	if st := slot0(1); len(st.Ran) != 1 {
 		t.Fatalf("ran %v, want 1 task", st.Ran)
 	}
 	// At quarter speed both fit (2 × 0.020·(1/64) ≪ 0.021).
-	ts2 := nvp.MustNewSet(g)
-	st2 := sim.ExecSlotDVFS(cap, ts2, []int{0, 1},
-		func(run []int) []float64 {
-			out := make([]float64, len(run))
-			for i := range out {
-				out[i] = 0.25
-			}
-			return out
-		}, 0.021, 60, 1.0)
-	if len(st2.Ran) != 2 {
-		t.Fatalf("paced ran %v, want both tasks", st2.Ran)
+	st := slot0(0.25)
+	if len(st.Ran) != 2 {
+		t.Fatalf("paced ran %v, want both tasks", st.Ran)
 	}
-	if ts2.Remaining(0) != 300-15 {
-		t.Fatalf("paced progress %v, want 15s", 300-ts2.Remaining(0))
+	if want := 2 * 0.020 * (0.25 * 0.25 * 0.25); st.LoadW != want {
+		t.Fatalf("paced load %v W, want %v", st.LoadW, want)
 	}
 }

@@ -115,59 +115,33 @@ func (s *Set) FilterRunnable(order []int) []int {
 	return out
 }
 
-// Run executes the given tasks for dt seconds each, decrementing their
-// remaining times (eq. (4)). Callers must pass a list already filtered by
-// FilterRunnable. It returns the total load power (W) of the slot.
-func (s *Set) Run(selected []int, dt float64) (loadPower float64) {
-	for _, n := range selected {
-		s.remaining[n] -= dt
-		if s.remaining[n] < 0 {
-			s.remaining[n] = 0
-		}
-		loadPower += s.G.Tasks[n].Power
-	}
-	return loadPower
-}
-
-// RunScaled executes the given tasks at per-task DVFS speeds f ∈ (0, 1]:
-// task n advances speeds[i]·dt seconds of work while drawing
-// P_n·speeds[i]^powerExp watts — the voltage-frequency scaling model of the
-// DVFS extension (see internal/dvfs). It returns the total load power (W).
-func (s *Set) RunScaled(selected []int, speeds []float64, powerExp, dt float64) (loadPower float64) {
-	if len(selected) != len(speeds) {
+// Run executes the given tasks for one slot of dt seconds (eq. (4)) and
+// returns the total load power (W) of the slot. Callers must pass a list
+// already filtered by FilterRunnable. A nil speeds runs every task at full
+// speed; otherwise speeds holds one DVFS speed f ∈ (0, 1] per task, and
+// task n advances f·dt seconds of work while drawing P_n·f³ watts — the
+// cube law of voltage-frequency scaling (see internal/dvfs).
+func (s *Set) Run(selected []int, speeds []float64, dt float64) (loadPower float64) {
+	if speeds != nil && len(selected) != len(speeds) {
 		panic(fmt.Sprintf("nvp: %d tasks but %d speeds", len(selected), len(speeds)))
 	}
+	// Full speed is f = 1 on the same path: 1·dt == dt and P·(1·1·1) == P
+	// exactly in IEEE 754, so nil speeds cost no separate loop.
 	for i, n := range selected {
-		f := speeds[i]
-		if f <= 0 || f > 1 {
-			panic(fmt.Sprintf("nvp: speed %v out of (0,1]", f))
+		f := 1.0
+		if speeds != nil {
+			f = speeds[i]
+			if f <= 0 || f > 1 {
+				panic(fmt.Sprintf("nvp: speed %v out of (0,1]", f))
+			}
 		}
 		s.remaining[n] -= f * dt
 		if s.remaining[n] < 0 {
 			s.remaining[n] = 0
 		}
-		loadPower += s.G.Tasks[n].Power * pow(f, powerExp)
+		loadPower += s.G.Tasks[n].Power * (f * f * f)
 	}
 	return loadPower
-}
-
-// pow is a small positive-base power helper (avoids importing math for one
-// call site on a hot path; speeds are in (0,1], exponents small).
-func pow(base, exp float64) float64 {
-	switch exp {
-	case 1:
-		return base
-	case 2:
-		return base * base
-	case 3:
-		return base * base * base
-	}
-	// Rare path: integer-ish exponents only in practice.
-	out := 1.0
-	for i := 0; i < int(exp); i++ {
-		out *= base
-	}
-	return out
 }
 
 // CheckDeadlines fires the θ function at a slot boundary: every task whose

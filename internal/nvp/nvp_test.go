@@ -34,7 +34,7 @@ func TestReadyHonorsDependence(t *testing.T) {
 	if s.Ready(1) {
 		t.Fatal("dependent task ready before predecessor done")
 	}
-	s.Run([]int{0}, 120)
+	s.Run([]int{0}, nil, 120)
 	if !s.Done(0) {
 		t.Fatal("task 0 should be done")
 	}
@@ -45,7 +45,7 @@ func TestReadyHonorsDependence(t *testing.T) {
 
 func TestRunDecrementsAndReportsPower(t *testing.T) {
 	s := MustNewSet(twoTaskGraph())
-	p := s.Run([]int{0}, 60)
+	p := s.Run([]int{0}, nil, 60)
 	if p != 0.01 {
 		t.Fatalf("load power = %v", p)
 	}
@@ -53,7 +53,7 @@ func TestRunDecrementsAndReportsPower(t *testing.T) {
 		t.Fatalf("remaining = %v", s.Remaining(0))
 	}
 	// Over-running clamps at zero.
-	s.Run([]int{0}, 1e6)
+	s.Run([]int{0}, nil, 1e6)
 	if s.Remaining(0) != 0 {
 		t.Fatal("remaining went negative")
 	}
@@ -76,7 +76,7 @@ func TestFilterRunnableOneTaskPerNVP(t *testing.T) {
 func TestFilterRunnableSkipsDoneAndMissed(t *testing.T) {
 	g := twoTaskGraph()
 	s := MustNewSet(g)
-	s.Run([]int{0}, 120) // finish task 0
+	s.Run([]int{0}, nil, 120) // finish task 0
 	if got := s.FilterRunnable([]int{0, 1}); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("FilterRunnable = %v, want [1]", got)
 	}
@@ -108,7 +108,7 @@ func TestCheckDeadlines(t *testing.T) {
 
 func TestCompletedTaskNeverMisses(t *testing.T) {
 	s := MustNewSet(twoTaskGraph())
-	s.Run([]int{0}, 120)
+	s.Run([]int{0}, nil, 120)
 	if newly := s.CheckDeadlines(600); len(newly) != 0 {
 		t.Fatalf("completed task reported missed: %v", newly)
 	}
@@ -129,7 +129,7 @@ func TestMissedPredecessorBlocksDependent(t *testing.T) {
 
 func TestResetPeriod(t *testing.T) {
 	s := MustNewSet(twoTaskGraph())
-	s.Run([]int{0}, 120)
+	s.Run([]int{0}, nil, 120)
 	s.CheckDeadlines(1800)
 	s.ResetPeriod()
 	if s.Remaining(0) != 120 || s.Misses() != 0 || s.Done(0) {
@@ -143,7 +143,7 @@ func TestPendingEnergy(t *testing.T) {
 	if got := s.PendingEnergy(); got != want {
 		t.Fatalf("PendingEnergy = %v, want %v", got, want)
 	}
-	s.Run([]int{0}, 60)
+	s.Run([]int{0}, nil, 60)
 	if got := s.PendingEnergy(); got != want-0.6 {
 		t.Fatalf("PendingEnergy after run = %v", got)
 	}
@@ -156,7 +156,7 @@ func TestPendingEnergy(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	s := MustNewSet(twoTaskGraph())
 	c := s.Clone()
-	c.Run([]int{0}, 120)
+	c.Run([]int{0}, nil, 120)
 	if s.Remaining(0) != 120 {
 		t.Fatal("Clone shares remaining state")
 	}
@@ -178,7 +178,7 @@ func TestStateInvariantsProperty(t *testing.T) {
 					return false
 				}
 			}
-			s.Run(run, 60)
+			s.Run(run, nil, 60)
 			elapsed += 60
 			s.CheckDeadlines(elapsed)
 			for n := range g.Tasks {

@@ -9,7 +9,7 @@ import (
 func TestSetStateRoundTrip(t *testing.T) {
 	g := task.ECG()
 	live := MustNewSet(g)
-	live.Run(live.FilterRunnable([]int{0, 1, 2}), 30)
+	live.Run(live.FilterRunnable([]int{0, 1, 2}), nil, 30)
 	live.CheckDeadlines(g.Tasks[0].Deadline + 1)
 
 	restored := MustNewSet(g)

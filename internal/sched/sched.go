@@ -93,11 +93,6 @@ func (s *ASAP) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.KeepCap 
 // Slot implements sim.Scheduler.
 func (s *ASAP) Slot(*sim.SlotView) []int { return s.order }
 
-// Policy returns the ASAP slot policy for planner-local simulations.
-func (s *ASAP) Policy() sim.SlotPolicy {
-	return func(*sim.SlotView) []int { return s.order }
-}
-
 // InterLSA is the paper's Inter-task baseline [3]: a lazy scheduling
 // algorithm steered by a WCMA solar forecast.
 //
@@ -271,82 +266,48 @@ func (s *IntraMatch) Name() string { return "intra-task-match" }
 // BeginPeriod implements sim.Scheduler.
 func (s *IntraMatch) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.KeepCap }
 
-// Slot implements sim.Scheduler.
+// Slot implements sim.Scheduler: the load-matching slot policy.
 func (s *IntraMatch) Slot(v *sim.SlotView) []int {
-	return s.Policy()(v)
+	out := make([]int, 0, s.g.N())
+	load := 0.0
+	// Urgent tasks run regardless of supply.
+	for _, n := range s.edf {
+		if v.Tasks.Ready(n) && urgent(v, n, s.eff) {
+			out = append(out, n)
+			load += s.g.Tasks[n].Power
+		}
+	}
+	// Fill toward the solar supply with the largest fitting powers:
+	// best direct-use of the harvest (the load-matching objective).
+	avail := v.SolarPower * v.DirectEff
+	busy := nvpBusy(s.g, out)
+	for load < avail {
+		best := -1
+		for _, n := range s.edf {
+			if contains(out, n) || !v.Tasks.Ready(n) || busy[s.g.Tasks[n].NVP] {
+				continue
+			}
+			p := s.g.Tasks[n].Power
+			if load+p > avail+1e-12 {
+				continue
+			}
+			if best < 0 || p > s.g.Tasks[best].Power {
+				best = n
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, best)
+		load += s.g.Tasks[best].Power
+		busy[s.g.Tasks[best].NVP] = true
+	}
+	return out
 }
 
 // Policy returns the load-matching slot policy, reusable as the
 // fine-grained stage of other schedulers (§5.2 uses it when |1−α| ≤ δ).
-func (s *IntraMatch) Policy() sim.SlotPolicy {
-	return func(v *sim.SlotView) []int {
-		out := make([]int, 0, s.g.N())
-		load := 0.0
-		// Urgent tasks run regardless of supply.
-		for _, n := range s.edf {
-			if v.Tasks.Ready(n) && urgent(v, n, s.eff) {
-				out = append(out, n)
-				load += s.g.Tasks[n].Power
-			}
-		}
-		// Fill toward the solar supply with the largest fitting powers:
-		// best direct-use of the harvest (the load-matching objective).
-		avail := v.SolarPower * v.DirectEff
-		busy := nvpBusy(s.g, out)
-		for load < avail {
-			best := -1
-			for _, n := range s.edf {
-				if contains(out, n) || !v.Tasks.Ready(n) || busy[s.g.Tasks[n].NVP] {
-					continue
-				}
-				p := s.g.Tasks[n].Power
-				if load+p > avail+1e-12 {
-					continue
-				}
-				if best < 0 || p > s.g.Tasks[best].Power {
-					best = n
-				}
-			}
-			if best < 0 {
-				break
-			}
-			out = append(out, best)
-			load += s.g.Tasks[best].Power
-			busy[s.g.Tasks[best].NVP] = true
-		}
-		return out
-	}
-}
-
-// LazyPolicy returns InterLSA's slot behavior (ignoring admission) as a
-// standalone policy: urgent tasks plus free direct-solar execution. The
-// proposed scheduler uses it as the inter-task fine-grained stage when
-// |1−α| > δ (§5.2).
-func LazyPolicy(g *task.Graph, directEff float64) sim.SlotPolicy {
-	eff := EffectiveDeadlines(g)
-	edf := byDeadline(eff)
-	return func(v *sim.SlotView) []int {
-		out := make([]int, 0, g.N())
-		load := 0.0
-		for _, n := range edf {
-			if v.Tasks.Ready(n) && urgent(v, n, eff) {
-				out = append(out, n)
-				load += g.Tasks[n].Power
-			}
-		}
-		avail := v.SolarPower * directEff
-		for _, n := range edf {
-			if contains(out, n) || !v.Tasks.Ready(n) {
-				continue
-			}
-			if p := g.Tasks[n].Power; load+p <= avail+1e-12 {
-				out = append(out, n)
-				load += p
-			}
-		}
-		return out
-	}
-}
+func (s *IntraMatch) Policy() sim.SlotPolicy { return s.Slot }
 
 // EDFPolicy returns the plain earliest-effective-deadline-first policy.
 func EDFPolicy(g *task.Graph) sim.SlotPolicy {

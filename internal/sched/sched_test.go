@@ -262,24 +262,6 @@ func TestEDFPolicyOrdering(t *testing.T) {
 	}
 }
 
-func TestLazyPolicyMatchesInterLSABehavior(t *testing.T) {
-	g := task.ECG()
-	pol := LazyPolicy(g, 0.95)
-	ts := nvp.MustNewSet(g)
-	dark := &sim.SlotView{Slot: 0, SolarPower: 0, Tasks: ts, DirectEff: 0.95,
-		Cap: supercap.New(10, supercap.DefaultParams())}
-	dark.Base = smallBase(1)
-	if got := pol(dark); len(got) != 0 {
-		t.Fatalf("lazy policy ran %v in dark slack", got)
-	}
-	bright := &sim.SlotView{Slot: 0, SolarPower: 1.0, Tasks: ts, DirectEff: 0.95,
-		Cap: supercap.New(10, supercap.DefaultParams())}
-	bright.Base = smallBase(1)
-	if got := pol(bright); len(got) == 0 {
-		t.Fatal("lazy policy idle under bright sun")
-	}
-}
-
 // The motivating comparison of Figure 1: on a day+night cycle with a finite
 // store, a greedy present-period scheduler must do no better at night than
 // during the day.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -69,7 +70,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts1 := newTestServer(t, Config{Store: st1})
+	s1, ts1 := newTestServer(t, Config{Store: st1})
 	code, b := postJSON(t, ts1.URL+"/v1/runs?wait=1", testSpec)
 	if code != http.StatusOK {
 		t.Fatalf("cold submit: HTTP %d: %s", code, b)
@@ -77,6 +78,12 @@ func TestStoreWarmRestart(t *testing.T) {
 	stat1, rep1 := decodeStatus(t, b)
 	if stat1.State != StateDone || rep1.AggregateDigest == "" {
 		t.Fatalf("cold job: state %s report %+v", stat1.State, rep1)
+	}
+
+	// Stop the first daemon, as a restart does: its executor runs a store
+	// GC after each job, under the maintenance lock Verify needs below.
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	// "Restart": a fresh store handle, cache and daemon over the same

@@ -23,35 +23,31 @@ type PeriodOutcome struct {
 // RunPeriodOnCap simulates one period in isolation: the given capacitor is
 // the storage, powers are the slot solar powers, allowed masks the task set
 // (nil = all), and policy picks the slot-level execution order. The
-// capacitor is mutated; pass a clone to explore hypotheticals. Leakage is
-// applied to the capacitor each slot, matching the full engine.
+// capacitor is mutated; pass a clone to explore hypotheticals. The slots run
+// through the engine's own kernel on a one-capacitor bank, so leakage,
+// brownout trimming and deadline misses match the full engine exactly.
 func RunPeriodOnCap(cap *supercap.Capacitor, powers []float64, g *task.Graph,
 	allowed []bool, policy SlotPolicy, dt, directEff float64) PeriodOutcome {
 
-	ts := nvp.MustNewSet(g)
+	k := &slotKernel{
+		bank: &supercap.Bank{Caps: []*supercap.Capacitor{cap}},
+		ts:   nvp.MustNewSet(g), dt: dt, directEff: directEff, allowed: allowed,
+	}
 	out := PeriodOutcome{Executed: make([]bool, g.N())}
 	startUsable := cap.UsableEnergy()
+	sv := &SlotView{Cap: cap, Bank: k.bank, Tasks: k.ts, DirectEff: directEff}
+	sv.Base.SlotSeconds = dt
+	sv.Base.SlotsPerPeriod = len(powers)
 	for slot, solarW := range powers {
-		sv := &SlotView{
-			Slot: slot, SolarPower: solarW, Cap: cap, Tasks: ts,
-			DirectEff: directEff,
-		}
-		sv.Base.SlotSeconds = dt
-		sv.Base.SlotsPerPeriod = len(powers)
-		order := policy(sv)
-		if allowed != nil {
-			order = filterAllowed(order, allowed)
-		}
-		st := ExecSlot(cap, ts, order, solarW, dt, directEff)
+		sv.Slot, sv.SolarPower = slot, solarW
+		st := k.stepSlot(sv, policy(sv), solarW, slot)
 		for _, n := range st.Ran {
 			out.Executed[n] = true
 		}
 		out.Delivered += st.LoadPower * dt
 		out.Harvested += solarW * dt
-		cap.Leak(dt)
-		ts.CheckDeadlines(float64(slot+1) * dt)
 	}
-	out.Missed = ts.Misses()
+	out.Missed = k.ts.Misses()
 	out.CapConsumed = startUsable - cap.UsableEnergy()
 	out.FinalV = cap.V
 	return out

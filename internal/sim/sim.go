@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"solarsched/internal/fault"
 	"solarsched/internal/nvp"
@@ -64,7 +63,7 @@ type SlotView struct {
 	Base              solar.TimeBase
 	SolarPower        float64 // W, measured for the current slot
 	Cap               *supercap.Capacitor
-	Bank              *supercap.Bank // nil inside planner-local simulations
+	Bank              *supercap.Bank // one capacitor inside planner-local simulations
 	Tasks             *nvp.Set
 	DirectEff         float64
 }
@@ -92,9 +91,10 @@ type SlotPolicy func(v *SlotView) []int
 // SpeedScheduler is an optional Scheduler extension for DVFS-capable nodes
 // (the paper's related work [5–8]): after the engine filters a slot's task
 // list, it asks the scheduler for a per-task speed f ∈ (0, 1]. A task at
-// speed f advances f·Δt of work while drawing P_n·f^DVFSPowerExponent —
-// voltage-frequency scaling trades latency for energy. Schedulers that do
-// not implement this run everything at full speed.
+// speed f advances f·Δt of work while drawing P_n·f³ (P ≈ C·V²·f with
+// V ∝ f, so energy per unit work scales as f²) — voltage-frequency scaling
+// trades latency for energy. Schedulers that do not implement this run
+// everything at full speed.
 type SpeedScheduler interface {
 	Scheduler
 	// Speeds returns one speed per entry of selected (the engine's
@@ -102,10 +102,6 @@ type SpeedScheduler interface {
 	// [MinDVFSSpeed, 1].
 	Speeds(v *SlotView, selected []int) []float64
 }
-
-// DVFSPowerExponent is the power-vs-frequency exponent: P ∝ f³ from
-// P ≈ C·V²·f with V ∝ f, so energy per unit work scales as f².
-const DVFSPowerExponent = 3
 
 // MinDVFSSpeed is the lowest supported frequency ratio.
 const MinDVFSSpeed = 0.25
@@ -212,12 +208,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // bit-identical results. Test with errors.Is(err, sim.ErrCanceled).
 var ErrCanceled = errors.New("sim: run canceled")
 
-// ErrInterrupted is the former name of ErrCanceled, kept as an alias so
-// existing errors.Is checks keep working.
-//
-// Deprecated: use ErrCanceled.
-var ErrInterrupted = ErrCanceled
-
 // ErrConfigMismatch is wrapped into every error that rejects a checkpoint
 // against the engine or scheduler that tries to resume it: wrong scheduler,
 // wrong config digest, wrong schema version, inconsistent cursor. Callers
@@ -233,7 +223,7 @@ type RunOptions struct {
 
 	// Context cancels the run at the next period boundary; the run then
 	// flushes a final checkpoint (if a sink is set) and returns
-	// ErrInterrupted. Nil means never canceled.
+	// ErrCanceled. Nil means never canceled.
 	Context context.Context
 
 	// Resume restarts the run from a previously captured RunState instead
@@ -331,6 +321,8 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 	}
 	res := newResult(s.Name(), tb, e.cfg.Graph.N())
 	dt := tb.SlotSeconds
+	ss, _ := s.(SpeedScheduler)
+	kern := &slotKernel{bank: bank, ts: ts, dt: dt, directEff: e.cfg.DirectEff, speeds: ss}
 
 	// The fault layer of this run. A nil injector (faults disabled) makes
 	// every call below a no-op returning its input, so the clean path is
@@ -448,12 +440,15 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 		}
 		ts.ResetPeriod()
 
+		kern.allowed = plan.Allowed
+
 		for slot := 0; slot < tb.SlotsPerPeriod; slot++ {
 			var slotSpan *obs.Span
 			if e.cfg.SlotSpans {
 				slotSpan = periodSpan.Child("slot")
 			}
 			solarW := e.cfg.Trace.At(day, period, slot)
+			var st SlotStats
 			if inj.DeadSlot() {
 				// Power interruption: no channel supplies the load, the
 				// panel harvests nothing and the node (scheduler
@@ -461,68 +456,34 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 				// and retain state — only wall-clock physics continue:
 				// capacitors leak and deadlines keep approaching.
 				res.DeadSlots++
-				before := bankEnergy(bank)
-				bank.LeakAll(dt)
-				res.Leaked += before - bankEnergy(bank)
-				if e.m != nil {
-					loadBatch.Observe(0)
-				}
-				ts.CheckDeadlines(float64(slot+1) * dt)
-				if rec != nil {
-					rec.Record(SlotRecord{
-						Day: day, Period: period, Slot: slot,
-						SolarW: solarW, LoadW: 0,
-						ActiveCap: bank.ActiveIndex(), ActiveV: bank.Active().V,
-						UsableJ:      bank.Active().UsableEnergy(),
-						PeriodMisses: ts.Misses(),
-					})
-				}
-				slotSpan.End()
-				continue
-			}
-			sv := &SlotView{
-				Day: day, Period: period, Slot: slot, Base: tb,
-				SolarPower: solarW, Cap: bank.Active(), Bank: bank,
-				Tasks: ts, DirectEff: e.cfg.DirectEff,
-			}
-			if inj.SensorFaults() {
-				// Observation shim: the scheduler sees what the node's
-				// sensors report, never the ground truth the physics
-				// below run on.
-				obsBank := inj.ObserveBank(bank)
-				sv.SolarPower = inj.ObserveSolar(solarW)
-				sv.Bank = obsBank
-				sv.Cap = obsBank.Active()
-			}
-			order := s.Slot(sv)
-			if plan.Allowed != nil {
-				order = filterAllowed(order, plan.Allowed)
-			}
-			var st SlotStats
-			if ss, ok := s.(SpeedScheduler); ok {
-				st = ExecSlotDVFS(bank.Active(), ts, order,
-					func(run []int) []float64 { return ss.Speeds(sv, run) },
-					solarW, dt, e.cfg.DirectEff)
+				st.Leaked = kern.endSlot(slot)
 			} else {
-				st = ExecSlot(bank.Active(), ts, order, solarW, dt, e.cfg.DirectEff)
+				sv := &SlotView{
+					Day: day, Period: period, Slot: slot, Base: tb,
+					SolarPower: solarW, Cap: bank.Active(), Bank: bank,
+					Tasks: ts, DirectEff: e.cfg.DirectEff,
+				}
+				if inj.SensorFaults() {
+					// Observation shim: the scheduler sees what the node's
+					// sensors report, never the ground truth the physics
+					// below run on.
+					obsBank := inj.ObserveBank(bank)
+					sv.SolarPower = inj.ObserveSolar(solarW)
+					sv.Bank = obsBank
+					sv.Cap = obsBank.Active()
+				}
+				st = kern.stepSlot(sv, s.Slot(sv), solarW, slot)
+				res.Harvested += solarW * dt
+				res.Delivered += st.LoadPower * dt
+				res.StoredIn += st.Stored
+				res.StoreLoss += st.SurplusOffered - st.Stored
+				res.DrawnOut += st.DrawnOut
 			}
-			res.Harvested += solarW * dt
-			res.Delivered += st.LoadPower * dt
-			res.StoredIn += st.Stored
-			res.StoreLoss += st.SurplusOffered - st.Stored
-			res.DrawnOut += st.DrawnOut
-
-			before := bankEnergy(bank)
-			bank.LeakAll(dt)
-			leakedJ := before - bankEnergy(bank)
-			res.Leaked += leakedJ
-
+			res.Leaked += st.Leaked
 			if e.m != nil {
 				trims += st.Trimmed
 				loadBatch.Observe(st.LoadPower)
 			}
-
-			ts.CheckDeadlines(float64(slot+1) * dt)
 			if rec != nil {
 				rec.Record(SlotRecord{
 					Day: day, Period: period, Slot: slot,
@@ -565,121 +526,4 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 	}
 	res.FinalStored = bank.TotalUsable()
 	return res, nil
-}
-
-func filterAllowed(order []int, allowed []bool) []int {
-	out := order[:0:0]
-	for _, n := range order {
-		if n >= 0 && n < len(allowed) && allowed[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func bankEnergy(b *supercap.Bank) float64 {
-	sum := 0.0
-	for _, c := range b.Caps {
-		sum += c.Energy()
-	}
-	return sum
-}
-
-// SlotStats is the energy ledger of one executed slot.
-type SlotStats struct {
-	Ran            []int   // tasks that actually executed
-	Trimmed        int     // runnable tasks dropped on brownout
-	LoadPower      float64 // W delivered to the NVPs
-	SurplusOffered float64 // J offered to the capacitor input
-	Stored         float64 // J actually stored (after η_chr·η_cycle and spill)
-	DrawnOut       float64 // J delivered by the capacitor output
-}
-
-// ExecSlot performs the physical execution of one slot: it filters the
-// priority-ordered candidate list for readiness and NVP exclusivity, trims
-// it from the tail until the direct channel plus the capacitor can carry
-// the load (brownout behavior: an NVP whose task is trimmed simply retains
-// its state), runs the survivors, draws the deficit from the capacitor and
-// offers the surplus to it. It mutates cap and ts.
-func ExecSlot(cap *supercap.Capacitor, ts *nvp.Set, order []int, solarW, dt, directEff float64) SlotStats {
-	run := ts.FilterRunnable(order)
-	runnable := len(run)
-	directCap := solarW * directEff // W available at the load via direct channel
-	for len(run) > 0 {
-		load := 0.0
-		for _, n := range run {
-			load += ts.G.Tasks[n].Power
-		}
-		deficit := (load - directCap) * dt
-		if deficit <= cap.Deliverable()+1e-12 {
-			break
-		}
-		run = run[:len(run)-1]
-	}
-	var st SlotStats
-	st.Ran = run
-	st.Trimmed = runnable - len(run)
-	st.LoadPower = ts.Run(run, dt)
-	settleEnergy(cap, &st, solarW, dt, directEff)
-	return st
-}
-
-// ExecSlotDVFS is ExecSlot for DVFS-capable runs: speedsFor returns a speed
-// per task of the filtered list; the load of task n is P_n·f^3 while its
-// progress is f·Δt. Trimming drops the lowest-priority task together with
-// its speed.
-func ExecSlotDVFS(cap *supercap.Capacitor, ts *nvp.Set, order []int,
-	speedsFor func(run []int) []float64, solarW, dt, directEff float64) SlotStats {
-
-	run := ts.FilterRunnable(order)
-	runnable := len(run)
-	speeds := speedsFor(run)
-	if len(speeds) != len(run) {
-		panic(fmt.Sprintf("sim: %d speeds for %d tasks", len(speeds), len(run)))
-	}
-	speeds = append([]float64(nil), speeds...)
-	for i, f := range speeds {
-		speeds[i] = math.Min(1, math.Max(MinDVFSSpeed, f))
-	}
-	directCap := solarW * directEff
-	for len(run) > 0 {
-		load := 0.0
-		for i, n := range run {
-			f := speeds[i]
-			load += ts.G.Tasks[n].Power * f * f * f
-		}
-		deficit := (load - directCap) * dt
-		if deficit <= cap.Deliverable()+1e-12 {
-			break
-		}
-		run = run[:len(run)-1]
-		speeds = speeds[:len(speeds)-1]
-	}
-	var st SlotStats
-	st.Ran = run
-	st.Trimmed = runnable - len(run)
-	st.LoadPower = ts.RunScaled(run, speeds, DVFSPowerExponent, dt)
-	settleEnergy(cap, &st, solarW, dt, directEff)
-	return st
-}
-
-// settleEnergy routes the slot's energy: the load draws from the direct
-// channel first, the deficit comes from the capacitor, and the remaining
-// solar input charges it.
-func settleEnergy(cap *supercap.Capacitor, st *SlotStats, solarW, dt, directEff float64) {
-	directCap := solarW * directEff
-	directUsed := math.Min(st.LoadPower, directCap)
-	if deficit := (st.LoadPower - directUsed) * dt; deficit > 1e-15 {
-		st.DrawnOut = cap.Discharge(deficit)
-	}
-	// Solar input power not consumed by the load is offered to the storage
-	// channel. The load consumed directUsed/directEff at the panel side.
-	surplusW := solarW
-	if directEff > 0 {
-		surplusW = solarW - directUsed/directEff
-	}
-	if surplusW > 1e-15 {
-		st.SurplusOffered = surplusW * dt
-		st.Stored = cap.Charge(st.SurplusOffered)
-	}
 }

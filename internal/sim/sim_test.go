@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"solarsched/internal/nvp"
 	"solarsched/internal/sim"
 	"solarsched/internal/solar"
 	"solarsched/internal/supercap"
@@ -157,57 +156,6 @@ func TestEnergyLedgerConsistency(t *testing.T) {
 	}
 	if u := res.EnergyUtilization(); u < 0 || u > 1 {
 		t.Fatalf("utilization %v out of [0,1]", u)
-	}
-}
-
-func TestBrownoutTrimsLowestPriority(t *testing.T) {
-	// Two tasks on different NVPs; solar supports exactly one of them and
-	// the capacitor is empty: the engine must trim the tail of the order.
-	tasks := []task.Task{
-		{ID: 0, Name: "hi", ExecTime: 60, Power: 0.010, Deadline: 1800, NVP: 0},
-		{ID: 1, Name: "lo", ExecTime: 60, Power: 0.010, Deadline: 1800, NVP: 1},
-	}
-	g := task.NewGraph("pair", tasks, nil, 2)
-	ts := nvp.MustNewSet(g)
-	cap := supercap.New(10, supercap.DefaultParams()) // starts empty
-	st := sim.ExecSlot(cap, ts, []int{0, 1}, 0.012, 60, 1.0)
-	if len(st.Ran) != 1 || st.Ran[0] != 0 {
-		t.Fatalf("Ran = %v, want [0]", st.Ran)
-	}
-	if ts.Remaining(0) != 0 || ts.Remaining(1) != 60 {
-		t.Fatalf("remaining = %v, %v", ts.Remaining(0), ts.Remaining(1))
-	}
-}
-
-func TestExecSlotUsesCapacitorForDeficit(t *testing.T) {
-	tasks := []task.Task{{ID: 0, Name: "x", ExecTime: 60, Power: 0.020, Deadline: 1800, NVP: 0}}
-	g := task.NewGraph("one", tasks, nil, 1)
-	ts := nvp.MustNewSet(g)
-	cap := supercap.New(10, supercap.DefaultParams())
-	cap.Charge(10)                                    // plenty
-	st := sim.ExecSlot(cap, ts, []int{0}, 0, 60, 1.0) // no solar at all
-	if len(st.Ran) != 1 {
-		t.Fatalf("task did not run from storage: %v", st.Ran)
-	}
-	wantDraw := 0.020 * 60
-	if math.Abs(st.DrawnOut-wantDraw) > 1e-9 {
-		t.Fatalf("DrawnOut = %v, want %v", st.DrawnOut, wantDraw)
-	}
-}
-
-func TestExecSlotStoresSurplus(t *testing.T) {
-	g := task.NewGraph("idle", []task.Task{{ID: 0, Name: "x", ExecTime: 60, Power: 0.01, Deadline: 1800, NVP: 0}}, nil, 1)
-	ts := nvp.MustNewSet(g)
-	cap := supercap.New(10, supercap.DefaultParams())
-	st := sim.ExecSlot(cap, ts, nil, 0.05, 60, 0.95) // nothing scheduled
-	if st.SurplusOffered != 0.05*60 {
-		t.Fatalf("SurplusOffered = %v", st.SurplusOffered)
-	}
-	if st.Stored <= 0 || st.Stored >= st.SurplusOffered {
-		t.Fatalf("Stored = %v of %v offered", st.Stored, st.SurplusOffered)
-	}
-	if cap.UsableEnergy() <= 0 {
-		t.Fatal("capacitor did not gain energy")
 	}
 }
 

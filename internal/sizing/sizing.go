@@ -40,7 +40,7 @@ func MigrationPattern(tr *solar.Trace, day int, g *task.Graph, directEff float64
 	for p := 0; p < tb.PeriodsPerDay; p++ {
 		ts.ResetPeriod()
 		for s := 0; s < tb.SlotsPerPeriod; s++ {
-			load := ts.Run(ts.FilterRunnable(order), dt)
+			load := ts.Run(ts.FilterRunnable(order), nil, dt)
 			solarW := tr.At(day, p, s)
 			// ΔE at the storage-channel boundary: harvest minus the panel-side
 			// draw of the load through the direct channel.

@@ -145,6 +145,7 @@ func (f *FaultFS) MkdirAll(dir string, perm os.FileMode) error { return f.inner.
 func (f *FaultFS) ReadDir(name string) ([]fs.DirEntry, error)  { return f.inner.ReadDir(name) }
 func (f *FaultFS) Stat(name string) (fs.FileInfo, error)       { return f.inner.Stat(name) }
 func (f *FaultFS) Chtimes(name string, a, m time.Time) error   { return f.inner.Chtimes(name, a, m) }
+func (f *FaultFS) TryLock(name string) (func(), error)         { return f.inner.TryLock(name) }
 
 // faultFile injects write and sync faults on an open temporary.
 type faultFile struct {

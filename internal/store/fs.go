@@ -30,6 +30,11 @@ type FS interface {
 	// WriteFileExcl creates name with O_EXCL and writes data — the lock
 	// acquisition primitive. It must fail if name already exists.
 	WriteFileExcl(name string, data []byte, perm os.FileMode) error
+	// TryLock takes an exclusive advisory lock named name without
+	// blocking, creating the file if needed, and returns ErrLocked while
+	// another holder has it. The lock dies with its holder's process, so
+	// it never goes stale. unlock removes the file, then releases.
+	TryLock(name string) (unlock func(), err error)
 }
 
 // osFS is the real filesystem.

@@ -21,6 +21,7 @@
 //	objects/<kind>/<digest>.art   one artifact per file, enveloped
 //	quarantine/                   entries that failed verification
 //	maintenance.lock              held during sweeps, Verify and GC
+//	maintenance.lock.break        held while a stale lock is broken
 package store
 
 import (
@@ -622,15 +623,11 @@ type lockInfo struct {
 }
 
 // acquireLock takes the maintenance lock, breaking a stale one (older
-// than LockStale — its holder crashed mid-maintenance) exactly once.
-// Returns ErrLocked when a live process holds it.
-//
-// Breaking is done by renaming the stale lock aside, never by removing
-// it in place: rename has atomic loser-detection (the second breaker's
-// rename fails with ENOENT), so two processes racing to break the same
-// stale lock cannot end up each believing they hold it. The vacated
-// path is then re-contended with the O_EXCL create, which admits
-// exactly one winner.
+// than LockStale — its holder crashed mid-maintenance) at most once.
+// Returns ErrLocked when a live process holds it, or when another process
+// is breaking the stale lock right now. The O_EXCL create admits exactly
+// one holder while the lock path is vacant; breakStaleLock is the only
+// other way the path is ever vacated.
 func (s *Store) acquireLock() (release func(), err error) {
 	host, _ := os.Hostname()
 	data, _ := json.Marshal(lockInfo{PID: os.Getpid(), AtUnixMS: time.Now().UnixMilli(), Host: host})
@@ -653,21 +650,38 @@ func (s *Store) acquireLock() (release func(), err error) {
 		if time.Since(info.ModTime()) < s.opts.LockStale {
 			return nil, fmt.Errorf("%w: %s (held since %s)", ErrLocked, s.lockPath(), info.ModTime().Format(time.RFC3339))
 		}
-		// Stale: the holder died. Move the corpse to a per-breaker name;
-		// only one of several concurrent breakers can win this rename
-		// (the rest see ENOENT and fall through to the O_EXCL create,
-		// which a winner has typically already satisfied).
-		corpse := fmt.Sprintf("%s.broke.%d.%d", s.lockPath(), os.Getpid(), s.seq.Add(1))
-		if rerr := s.fsys.Rename(s.lockPath(), corpse); rerr == nil {
-			// Guard against having stolen a lock that was released and
-			// re-acquired between our Stat and Rename: if the moved file
-			// is fresher than what we observed, put it back and yield.
-			if ci, cerr := s.fsys.Stat(corpse); cerr == nil && time.Since(ci.ModTime()) < s.opts.LockStale {
-				if s.fsys.Rename(corpse, s.lockPath()) == nil {
-					return nil, fmt.Errorf("%w: %s (lock turned live during stale break)", ErrLocked, s.lockPath())
-				}
-			}
-			_ = s.fsys.Remove(corpse)
+		if err := s.breakStaleLock(); err != nil {
+			return nil, err
 		}
 	}
+}
+
+// breakStaleLock removes a stale maintenance lock so the caller can
+// re-contend for it with the O_EXCL create.
+//
+// Breakers serialize behind FS.TryLock on a break file and re-check
+// staleness under it. While one breaker holds the break lock no other
+// breaker can vacate the lock path, and contenders only ever create the
+// lock when the path is vacant, so the stale file the breaker re-checked
+// is the file it removes: a breaker never removes a live lock. A
+// contender that finds the break lock held yields with ErrLocked. The
+// break lock dies with its holder, so a breaker that crashes mid-break
+// leaves nothing that needs clearing in turn.
+func (s *Store) breakStaleLock() error {
+	unlock, err := s.fsys.TryLock(s.lockPath() + ".break")
+	if err != nil {
+		return fmt.Errorf("store: breaking stale maintenance lock: %w", err)
+	}
+	defer unlock()
+	info, err := s.fsys.Stat(s.lockPath())
+	if err != nil {
+		return nil // vacated since our create: re-contend
+	}
+	if time.Since(info.ModTime()) < s.opts.LockStale {
+		return fmt.Errorf("%w: %s (held since %s)", ErrLocked, s.lockPath(), info.ModTime().Format(time.RFC3339))
+	}
+	if err := s.fsys.Remove(s.lockPath()); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: breaking stale maintenance lock: %w", err)
+	}
+	return nil
 }

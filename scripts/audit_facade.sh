@@ -65,6 +65,19 @@ if [ -n "$legacy_decide" ]; then
   fail=1
 fi
 
+# Removed duplicate paths and aliases: the slot kernel replaced
+# ExecSlotDVFS (and nvp's RunScaled), sched.LazyPolicy duplicated
+# InterLSA, sim.ErrInterrupted was an alias of ErrCanceled, and the ckpt
+# wrappers passed straight through to atomicio. Any of them coming back
+# fails the audit.
+removed=$(grep -rnwE --include='*.go' \
+  'ExecSlotDVFS|RunScaled|LazyPolicy|ErrInterrupted|ckpt\.WriteFileAtomic|ckpt\.NewAtomicWriter|ckpt\.AtomicWriter' . || true)
+if [ -n "$removed" ]; then
+  echo "audit_facade: removed symbols in use (use the slot kernel, nvp.Set.Run, ErrCanceled, atomicio):" >&2
+  echo "$removed" >&2
+  fail=1
+fi
+
 # Orphan check: every internal package the facade imports must back at
 # least one re-export; a dangling import means a pruned symbol left its
 # import behind (goimports would drop it, but be explicit).
