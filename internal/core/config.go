@@ -130,15 +130,32 @@ func Alpha(g *task.Graph, te []bool, harvest float64) float64 {
 	return demand / harvest
 }
 
-// FinePolicy returns the fine-grained slot stage of §5.2 for a period with
-// the given α. When |1−α| > δ the supply/demand ratio is extreme and there
-// is nothing to match, so the stage is the simple inter-task scheduling:
-// tasks run whole, cheapest remaining energy first (meeting the most
-// deadlines with a fixed store), with urgent tasks jumping the queue.
-// Otherwise it is the intra-task load-matching stage.
-func FinePolicy(g *task.Graph, alpha, delta float64) sim.SlotPolicy {
-	if math.Abs(1-alpha) > delta {
-		return sched.CheapestFirstPolicy(g)
+// FineStages holds the two fine-grained slot stages of §5.2 for one graph,
+// built once and picked per period by α. The stages own their scratch, so
+// one FineStages is not safe for concurrent use.
+type FineStages struct {
+	inter, intra sim.SlotPolicy
+	delta        float64
+}
+
+// NewFineStages builds both stages of graph g under threshold δ.
+func NewFineStages(g *task.Graph, delta float64) *FineStages {
+	return &FineStages{
+		inter: sched.CheapestFirstPolicy(g),
+		intra: sched.NewIntraMatch(g).Policy(),
+		delta: delta,
 	}
-	return sched.NewIntraMatch(g).Policy()
+}
+
+// Pick returns the stage for a period with the given α. When |1−α| > δ the
+// supply/demand ratio is extreme and there is nothing to match, so the
+// stage is the simple inter-task scheduling: tasks run whole, cheapest
+// remaining energy first (meeting the most deadlines with a fixed store),
+// with urgent tasks jumping the queue. Otherwise it is the intra-task
+// load-matching stage.
+func (f *FineStages) Pick(alpha float64) sim.SlotPolicy {
+	if math.Abs(1-alpha) > f.delta {
+		return f.inter
+	}
+	return f.intra
 }

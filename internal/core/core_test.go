@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"solarsched/internal/nvp"
 	"solarsched/internal/rng"
 	"solarsched/internal/sched"
 	"solarsched/internal/sim"
@@ -112,12 +113,20 @@ func TestAlpha(t *testing.T) {
 func TestFinePolicySelection(t *testing.T) {
 	g := task.ECG()
 	// α far from 1 → inter stage (cheapest first); α near 1 → intra match.
-	// The two stages behave differently under bright sun at slot 0: intra
-	// match fills toward supply, cheapest-first returns all tasks ordered.
-	inter := FinePolicy(g, 50, 0.25)
-	intra := FinePolicy(g, 1.0, 0.25)
+	stages := NewFineStages(g, 0.25)
+	inter, intra := stages.Pick(50), stages.Pick(1.0)
 	if inter == nil || intra == nil {
 		t.Fatal("nil policy")
+	}
+	// In darkness at slot 0 nothing is urgent: load matching picks no task,
+	// cheapest-first still orders every task.
+	v := &sim.SlotView{Tasks: nvp.MustNewSet(g), DirectEff: 0.95}
+	v.Base.SlotSeconds = 60
+	if got := intra(v); len(got) != 0 {
+		t.Fatalf("intra stage in darkness = %v, want none", got)
+	}
+	if got := inter(v); len(got) != g.N() {
+		t.Fatalf("inter stage = %v, want all %d tasks", got, g.N())
 	}
 }
 
@@ -127,7 +136,7 @@ func TestPeriodOptionsBrightDay(t *testing.T) {
 	for i := range powers {
 		powers[i] = 0.2 // plenty
 	}
-	opts := PeriodOptions(50, 2.5, powers, pc)
+	opts := NewLUT(pc).PeriodOptions(2, 2.5, powers)
 	if len(opts) == 0 {
 		t.Fatal("no options")
 	}
@@ -148,7 +157,7 @@ func TestPeriodOptionsBrightDay(t *testing.T) {
 func TestPeriodOptionsDarkEmptyCap(t *testing.T) {
 	pc, _ := testConfig(task.ECG(), 2)
 	powers := make([]float64, pc.Base.SlotsPerPeriod)
-	opts := PeriodOptions(50, pc.Params.VLow, powers, pc)
+	opts := NewLUT(pc).PeriodOptions(2, pc.Params.VLow, powers)
 	if len(opts) != 1 {
 		t.Fatalf("dark+empty should collapse to one option, got %d", len(opts))
 	}
@@ -162,7 +171,7 @@ func TestPeriodOptionsDarkChargedCapTradeoff(t *testing.T) {
 	// Pareto point: spending more energy buys fewer misses.
 	pc, _ := testConfig(task.WAM(), 2)
 	powers := make([]float64, pc.Base.SlotsPerPeriod)
-	opts := PeriodOptions(50, 2.6, powers, pc)
+	opts := NewLUT(pc).PeriodOptions(2, 2.6, powers)
 	if len(opts) < 2 {
 		t.Fatalf("expected a misses/energy tradeoff, got %d options", len(opts))
 	}

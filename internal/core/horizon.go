@@ -120,7 +120,7 @@ func (h *Horizon) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 		h.decision.Te = full
 		h.decision.Alpha = Alpha(h.pc.Graph, full, harvest)
 	}
-	h.policy = FinePolicy(h.pc.Graph, h.decision.Alpha, h.pc.Delta)
+	h.policy = h.lut.stages.Pick(h.decision.Alpha)
 
 	plan := sim.PeriodPlan{SwitchTo: -1, Allowed: h.decision.Te}
 	if h.decision.CapIdx != active {

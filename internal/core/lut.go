@@ -13,9 +13,14 @@ import (
 // capacitor, initial voltage) key to the Pareto options of the period
 // optimizer, and — per the paper — approximates unseen inputs by the
 // closest existing entry (here: by sharing the quantization bucket).
+//
+// A LUT is not safe for concurrent use: building an entry runs the table's
+// own period runner and fine-grained stages.
 type LUT struct {
 	pc      PlanConfig
 	entries map[lutKey][]Option
+	stages  *FineStages
+	eval    periodEval
 
 	// Builds counts period-optimizer invocations (cache misses); Lookups
 	// counts queries. Their ratio shows how much the LUT compresses.
@@ -44,6 +49,8 @@ func NewLUT(pc PlanConfig) *LUT {
 	return &LUT{
 		pc:       pc,
 		entries:  make(map[lutKey][]Option),
+		stages:   NewFineStages(pc.Graph, pc.Delta),
+		eval:     newPeriodEval(pc),
 		mHits:    reg.Counter("core_lut_hits_total"),
 		mMisses:  reg.Counter("core_lut_misses_total"),
 		mEntries: reg.Gauge("core_lut_entries"),
@@ -148,7 +155,7 @@ func (l *LUT) OptionsByKey(profile string, capIdx, vBucket int, powers []float64
 	}
 	l.Builds++
 	l.mMisses.Inc()
-	opts := PeriodOptions(l.pc.Capacitances[capIdx], l.BucketV(capIdx, vBucket), powers, l.pc)
+	opts := l.PeriodOptions(capIdx, l.BucketV(capIdx, vBucket), powers)
 	l.entries[key] = opts
 	l.mEntries.Set(float64(len(l.entries)))
 	return opts

@@ -15,7 +15,6 @@ type Optimal struct {
 	pc        PlanConfig
 	lut       *LUT
 	plan      PlanResult
-	policies  []sim.SlotPolicy
 	decisions []Decision
 }
 
@@ -71,12 +70,7 @@ func NewOptimalFromPlan(pc PlanConfig, tr *solar.Trace, plan PlanResult, entries
 	if entries != nil {
 		lut.RestoreEntries(entries)
 	}
-	o := &Optimal{pc: pc, lut: lut, plan: plan, decisions: plan.Decisions}
-	o.policies = make([]sim.SlotPolicy, len(plan.Decisions))
-	for i, d := range plan.Decisions {
-		o.policies[i] = FinePolicy(pc.Graph, d.Alpha, pc.Delta)
-	}
-	return o, nil
+	return &Optimal{pc: pc, lut: lut, plan: plan, decisions: plan.Decisions}, nil
 }
 
 // Name implements sim.Scheduler.
@@ -101,5 +95,5 @@ func (o *Optimal) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 
 // Slot implements sim.Scheduler.
 func (o *Optimal) Slot(v *sim.SlotView) []int {
-	return o.policies[v.Base.PeriodIndex(v.Day, v.Period)](v)
+	return o.lut.stages.Pick(o.decisions[v.Base.PeriodIndex(v.Day, v.Period)].Alpha)(v)
 }

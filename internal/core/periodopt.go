@@ -64,18 +64,48 @@ type Option struct {
 	FinalV      float64
 }
 
-// PeriodOptions simulates every dependence-closed subset of pc.Graph over
-// one period (slot powers `powers`) on a capacitor of capC farads starting
-// at voltage v0, using the §5.2 fine-grained stage selected by each
-// subset's α. It returns the Pareto frontier: for each achievable miss
-// count the option with the highest final voltage (equivalently the lowest
-// consumed energy), sorted by misses ascending.
+// periodEval is the reused state behind LUT.PeriodOptions: the graph's
+// closed subsets, enumerated once, and the period runner, capacitor and
+// candidate and Pareto scratch that every entry's evaluation shares.
+type periodEval struct {
+	subsets [][]bool
+	runner  *sim.PeriodRunner
+	cap     supercap.Capacitor
+	cands   []Option
+	best    []Option // per miss count, the highest-FinalV candidate
+	seen    []bool   // per miss count, whether best holds a candidate
+}
+
+func newPeriodEval(pc PlanConfig) periodEval {
+	n := pc.Graph.N()
+	return periodEval{
+		subsets: ClosedSubsets(pc.Graph),
+		runner:  sim.NewPeriodRunner(pc.Graph, pc.Base.SlotSeconds, pc.DirectEff),
+		best:    make([]Option, n+1),
+		seen:    make([]bool, n+1),
+	}
+}
+
+// PeriodOptions simulates every dependence-closed subset of the graph over
+// one period (slot powers `powers`) on capacitor capIdx starting at voltage
+// v0, using the §5.2 fine-grained stage selected by each subset's α. It
+// returns the Pareto frontier: for each achievable miss count the option
+// with the highest final voltage (equivalently the lowest consumed energy),
+// sorted by misses ascending.
 //
 // This is the inner optimization of §4.2 (eqs. (15)–(17)); with N ≤ 8 tasks
 // the 2^N enumeration is exact — the paper's O(2^(N·Ns)) search collapsed
 // by the observation that within a period only the task *set* matters once
 // the fine-grained stage is fixed.
-func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
+//
+// The subsets, the stages, the period runner and the capacitor are the
+// table's own and are reused by every call. So every option's Te is one of
+// the table's subset masks, shared by all its entries and by the Decision.Te
+// and sim.PeriodPlan.Allowed built from them. Nothing writes to an
+// Option.Te, a Decision.Te or a PeriodPlan.Allowed in place, and nothing
+// may: copy a mask before changing it.
+func (l *LUT) PeriodOptions(capIdx int, v0 float64, powers []float64) []Option {
+	pc, e := l.pc, &l.eval
 	g := pc.Graph
 	dt := pc.Base.SlotSeconds
 	harvest := 0.0
@@ -84,15 +114,12 @@ func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
 	}
 	harvest *= dt
 
-	subsets := ClosedSubsets(g)
-	options := make([]Option, 0, len(subsets))
-	for _, te := range subsets {
+	cands := e.cands[:0]
+	for _, te := range e.subsets {
 		alpha := Alpha(g, te, harvest)
-		policy := FinePolicy(g, alpha, pc.Delta)
-		cap_ := supercap.New(capC, pc.Params)
-		cap_.V = v0
-		out := sim.RunPeriodOnCap(cap_, powers, g, te, policy, dt, pc.DirectEff)
-		options = append(options, Option{
+		e.cap = supercap.Capacitor{C: pc.Capacitances[capIdx], V: v0, P: pc.Params}
+		out := e.runner.Run(&e.cap, powers, te, l.stages.Pick(alpha))
+		cands = append(cands, Option{
 			Misses:      out.Missed,
 			Te:          te,
 			Alpha:       alpha,
@@ -100,35 +127,33 @@ func PeriodOptions(capC, v0 float64, powers []float64, pc PlanConfig) []Option {
 			FinalV:      out.FinalV,
 		})
 	}
-	return paretoByMissesEnergy(options)
+	e.cands = cands
+	return e.paretoFront(cands)
 }
 
-// paretoByMissesEnergy keeps, for each miss count, the option with the
-// highest final voltage, then drops options dominated by a cheaper-or-equal
-// option with fewer misses.
-func paretoByMissesEnergy(options []Option) []Option {
-	bestAt := map[int]Option{}
+// paretoFront keeps, for each miss count, the option with the highest
+// final voltage (the first on ties), then drops options dominated by a
+// cheaper-or-equal option with fewer misses. The result is freshly
+// allocated: the LUT keeps it.
+func (e *periodEval) paretoFront(options []Option) []Option {
+	clear(e.seen)
 	for _, o := range options {
-		cur, ok := bestAt[o.Misses]
-		if !ok || o.FinalV > cur.FinalV {
-			bestAt[o.Misses] = o
+		if !e.seen[o.Misses] || o.FinalV > e.best[o.Misses].FinalV {
+			e.best[o.Misses], e.seen[o.Misses] = o, true
 		}
 	}
-	misses := make([]int, 0, len(bestAt))
-	for m := range bestAt {
-		misses = append(misses, m)
-	}
-	sort.Ints(misses)
-	out := make([]Option, 0, len(misses))
+	// Compact the kept options to the front of best; kept ≤ m, so no
+	// unread slot is overwritten.
+	kept := 0
 	bestV := -1.0
-	for _, m := range misses {
-		o := bestAt[m]
+	for m, ok := range e.seen {
 		// An option with more misses must buy strictly more final energy to
 		// be worth keeping.
-		if o.FinalV > bestV {
-			out = append(out, o)
-			bestV = o.FinalV
+		if ok && e.best[m].FinalV > bestV {
+			e.best[kept] = e.best[m]
+			kept++
+			bestV = e.best[m].FinalV
 		}
 	}
-	return out
+	return append([]Option(nil), e.best[:kept]...)
 }

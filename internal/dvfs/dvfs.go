@@ -28,8 +28,13 @@ type LoadTune struct {
 	eff []float64
 	edf []int
 
-	// planned holds the speed chosen for each task in the current slot.
-	planned map[int]float64
+	// planned holds the speed chosen for each task in the current slot; 0
+	// marks a task not offered this slot.
+	planned []float64
+
+	// Slot's and Speeds' reused results.
+	out    []int
+	speeds []float64
 }
 
 // NewLoadTune returns the DVFS load-tuning scheduler.
@@ -39,7 +44,9 @@ func NewLoadTune(g *task.Graph) *LoadTune {
 		g:       g,
 		eff:     eff,
 		edf:     edfOrder(eff),
-		planned: make(map[int]float64),
+		planned: make([]float64, g.N()),
+		out:     make([]int, 0, g.N()),
+		speeds:  make([]float64, 0, g.N()),
 	}
 }
 
@@ -66,15 +73,13 @@ func (s *LoadTune) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.Keep
 // at its just-in-time pace; the engine's brownout trimming drops the tail
 // if even the paced load cannot be carried.
 func (s *LoadTune) Slot(v *sim.SlotView) []int {
-	for k := range s.planned {
-		delete(s.planned, k)
-	}
+	clear(s.planned)
 	now := v.Elapsed()
 	// Boost when the active capacitor is nearly full: the marginal solar
 	// joule would spill, so spending it on the f³ premium is free.
 	boost := v.Cap != nil && v.Cap.UsableEnergy() > 0.95*v.Cap.CapacityEnergy()
 
-	out := make([]int, 0, s.g.N())
+	out := s.out[:0]
 	for _, n := range s.edf {
 		if !v.Tasks.Ready(n) {
 			continue
@@ -100,6 +105,7 @@ func (s *LoadTune) Slot(v *sim.SlotView) []int {
 		s.planned[n] = f
 		out = append(out, n)
 	}
+	s.out = out
 	return out
 }
 
@@ -115,13 +121,14 @@ func levelFor(need float64) float64 {
 
 // Speeds implements sim.SpeedScheduler.
 func (s *LoadTune) Speeds(_ *sim.SlotView, selected []int) []float64 {
-	speeds := make([]float64, len(selected))
-	for i, n := range selected {
-		f, ok := s.planned[n]
-		if !ok {
+	speeds := s.speeds[:0]
+	for _, n := range selected {
+		f := s.planned[n]
+		if f == 0 {
 			f = 1
 		}
-		speeds[i] = f
+		speeds = append(speeds, f)
 	}
+	s.speeds = speeds
 	return speeds
 }

@@ -22,6 +22,12 @@ type Set struct {
 
 	remaining []float64 // S'_n, seconds of execution left
 	missed    []bool    // θ fired: deadline passed with work remaining
+
+	// Scratch behind FilterRunnable and CheckDeadlines, so the per-slot
+	// calls allocate nothing.
+	run   []int
+	busy  []bool
+	newly []int
 }
 
 // NewSet returns a fresh execution state with every task's full execution
@@ -40,11 +46,20 @@ func NewSet(g *task.Graph) (*Set, error) {
 			return nil, fmt.Errorf("nvp: task %d bound to NVP %d of %d", n, t.NVP, g.NumNVPs)
 		}
 	}
-	s := &Set{G: g}
-	s.remaining = make([]float64, g.N())
-	s.missed = make([]bool, g.N())
+	s := newSet(g)
 	s.ResetPeriod()
 	return s, nil
+}
+
+func newSet(g *task.Graph) *Set {
+	return &Set{
+		G:         g,
+		remaining: make([]float64, g.N()),
+		missed:    make([]bool, g.N()),
+		run:       make([]int, 0, g.N()),
+		busy:      make([]bool, g.NumNVPs),
+		newly:     make([]int, 0, g.N()),
+	}
 }
 
 // MustNewSet is NewSet for call sites whose graph is already validated
@@ -94,10 +109,12 @@ func (s *Set) Ready(n int) bool {
 // FilterRunnable takes a priority-ordered candidate list and returns the
 // subset that can legally run in one slot: ready tasks only, at most one
 // per NVP (constraint (9)), first candidate per NVP wins. The result
-// preserves the input order.
+// preserves the input order. It is the set's own scratch, valid until the
+// next call.
 func (s *Set) FilterRunnable(order []int) []int {
-	busy := make([]bool, s.G.NumNVPs)
-	out := make([]int, 0, len(order))
+	busy := s.busy
+	clear(busy)
+	out := s.run[:0]
 	for _, n := range order {
 		if n < 0 || n >= s.G.N() {
 			panic(fmt.Sprintf("nvp: task id %d out of range", n))
@@ -112,6 +129,7 @@ func (s *Set) FilterRunnable(order []int) []int {
 		busy[k] = true
 		out = append(out, n)
 	}
+	s.run = out
 	return out
 }
 
@@ -147,15 +165,17 @@ func (s *Set) Run(selected []int, speeds []float64, dt float64) (loadPower float
 // CheckDeadlines fires the θ function at a slot boundary: every task whose
 // deadline is at or before elapsed seconds into the period and that still
 // has work remaining is marked missed (and aborted). It returns the tasks
-// newly missed at this boundary.
+// newly missed at this boundary, in the set's own scratch, valid until the
+// next call.
 func (s *Set) CheckDeadlines(elapsed float64) []int {
-	var newly []int
+	newly := s.newly[:0]
 	for n, t := range s.G.Tasks {
 		if !s.missed[n] && s.remaining[n] > 0 && t.Deadline <= elapsed+1e-9 {
 			s.missed[n] = true
 			newly = append(newly, n)
 		}
 	}
+	s.newly = newly
 	return newly
 }
 
@@ -186,8 +206,8 @@ func (s *Set) PendingEnergy() float64 {
 
 // Clone returns an independent copy of the execution state (for planners).
 func (s *Set) Clone() *Set {
-	out := &Set{G: s.G}
-	out.remaining = append([]float64(nil), s.remaining...)
-	out.missed = append([]bool(nil), s.missed...)
+	out := newSet(s.G)
+	copy(out.remaining, s.remaining)
+	copy(out.missed, s.missed)
 	return out
 }

@@ -112,6 +112,7 @@ type InterLSA struct {
 	pred      solar.Predictor
 	directEff float64
 	admitted  []bool
+	out       []int // Slot's reused result
 
 	// Admission telemetry (nil-safe instruments): how many tasks each
 	// period admitted or rejected, and the WCMA forecast's absolute error
@@ -151,6 +152,7 @@ func NewInterLSAWithPredictor(g *task.Graph, directEff float64, pred solar.Predi
 		pred:      pred,
 		directEff: directEff,
 		admitted:  make([]bool, g.N()),
+		out:       make([]int, 0, g.N()),
 	}
 }
 
@@ -219,7 +221,7 @@ func (s *InterLSA) BeginPeriod(v *sim.PeriodView) sim.PeriodPlan {
 // the capacitor), then lazy tasks only as far as the current solar surplus
 // carries them for free.
 func (s *InterLSA) Slot(v *sim.SlotView) []int {
-	out := make([]int, 0, s.g.N())
+	out := s.out[:0]
 	load := 0.0
 	for _, n := range s.edf {
 		if !s.admitted[n] || !v.Tasks.Ready(n) {
@@ -240,6 +242,7 @@ func (s *InterLSA) Slot(v *sim.SlotView) []int {
 			load += p
 		}
 	}
+	s.out = out
 	return out
 }
 
@@ -252,12 +255,20 @@ type IntraMatch struct {
 	g   *task.Graph
 	eff []float64
 	edf []int
+
+	// Slot's reused result and NVP-occupancy scratch.
+	out  []int
+	busy []bool
 }
 
 // NewIntraMatch returns the Intra-task baseline for the graph.
 func NewIntraMatch(g *task.Graph) *IntraMatch {
 	eff := EffectiveDeadlines(g)
-	return &IntraMatch{g: g, eff: eff, edf: byDeadline(eff)}
+	return &IntraMatch{
+		g: g, eff: eff, edf: byDeadline(eff),
+		out:  make([]int, 0, g.N()),
+		busy: make([]bool, g.NumNVPs),
+	}
 }
 
 // Name implements sim.Scheduler.
@@ -268,7 +279,7 @@ func (s *IntraMatch) BeginPeriod(*sim.PeriodView) sim.PeriodPlan { return sim.Ke
 
 // Slot implements sim.Scheduler: the load-matching slot policy.
 func (s *IntraMatch) Slot(v *sim.SlotView) []int {
-	out := make([]int, 0, s.g.N())
+	out := s.out[:0]
 	load := 0.0
 	// Urgent tasks run regardless of supply.
 	for _, n := range s.edf {
@@ -280,7 +291,11 @@ func (s *IntraMatch) Slot(v *sim.SlotView) []int {
 	// Fill toward the solar supply with the largest fitting powers:
 	// best direct-use of the harvest (the load-matching objective).
 	avail := v.SolarPower * v.DirectEff
-	busy := nvpBusy(s.g, out)
+	busy := s.busy
+	clear(busy)
+	for _, n := range out {
+		busy[s.g.Tasks[n].NVP] = true
+	}
 	for load < avail {
 		best := -1
 		for _, n := range s.edf {
@@ -302,6 +317,7 @@ func (s *IntraMatch) Slot(v *sim.SlotView) []int {
 		load += s.g.Tasks[best].Power
 		busy[s.g.Tasks[best].NVP] = true
 	}
+	s.out = out
 	return out
 }
 
@@ -319,29 +335,59 @@ func EDFPolicy(g *task.Graph) sim.SlotPolicy {
 // with a fixed energy store, finishing cheap tasks first maximizes the
 // number of deadlines met. The proposed scheduler's planner uses it for
 // night periods.
+//
+// Urgent ready tasks jump the queue; ties in cost fall to the effective
+// deadline, then to the task id. The policy owns its buffers: the returned
+// order is valid until its next call, and one policy is not safe for
+// concurrent use.
 func CheapestFirstPolicy(g *task.Graph) sim.SlotPolicy {
-	eff := EffectiveDeadlines(g)
-	return func(v *sim.SlotView) []int {
-		order := make([]int, 0, g.N())
-		for n := 0; n < g.N(); n++ {
-			order = append(order, n)
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ca := v.Tasks.Remaining(order[a]) * g.Tasks[order[a]].Power
-			cb := v.Tasks.Remaining(order[b]) * g.Tasks[order[b]].Power
-			if ca != cb {
-				return ca < cb
-			}
-			return eff[order[a]] < eff[order[b]]
-		})
-		// Urgent tasks jump the queue.
-		sort.SliceStable(order, func(a, b int) bool {
-			ua := v.Tasks.Ready(order[a]) && urgent(v, order[a], eff)
-			ub := v.Tasks.Ready(order[b]) && urgent(v, order[b], eff)
-			return ua && !ub
-		})
-		return order
+	n := g.N()
+	c := &cheapestFirst{
+		g:     g,
+		eff:   EffectiveDeadlines(g),
+		cost:  make([]float64, n),
+		urg:   make([]bool, n),
+		order: make([]int, n),
 	}
+	return c.slot
+}
+
+// cheapestFirst is CheapestFirstPolicy's state: the static effective
+// deadlines and the per-slot sort keys and result.
+type cheapestFirst struct {
+	g     *task.Graph
+	eff   []float64
+	cost  []float64 // remaining energy S'_n·P_n
+	urg   []bool    // ready and urgent
+	order []int
+}
+
+func (c *cheapestFirst) slot(v *sim.SlotView) []int {
+	for n := range c.order {
+		c.cost[n] = v.Tasks.Remaining(n) * c.g.Tasks[n].Power
+		c.urg[n] = v.Tasks.Ready(n) && urgent(v, n, c.eff)
+	}
+	// Insertion sort in task-id order: ids break every remaining tie, so
+	// the result is the stable order under (urgent, cost, eff).
+	for n := range c.order {
+		i := n
+		for ; i > 0 && c.before(n, c.order[i-1]); i-- {
+			c.order[i] = c.order[i-1]
+		}
+		c.order[i] = n
+	}
+	return c.order
+}
+
+// before reports whether task a sorts strictly ahead of task b.
+func (c *cheapestFirst) before(a, b int) bool {
+	if c.urg[a] != c.urg[b] {
+		return c.urg[a]
+	}
+	if c.cost[a] != c.cost[b] {
+		return c.cost[a] < c.cost[b]
+	}
+	return c.eff[a] < c.eff[b]
 }
 
 func contains(xs []int, v int) bool {
@@ -351,12 +397,4 @@ func contains(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-func nvpBusy(g *task.Graph, selected []int) []bool {
-	busy := make([]bool, g.NumNVPs)
-	for _, n := range selected {
-		busy[g.Tasks[n].NVP] = true
-	}
-	return busy
 }

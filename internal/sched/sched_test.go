@@ -2,10 +2,14 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"solarsched/internal/nvp"
+	"solarsched/internal/rng"
 	"solarsched/internal/sim"
 	"solarsched/internal/solar"
 	"solarsched/internal/supercap"
@@ -248,6 +252,140 @@ func TestCheapestFirstPolicyOrdering(t *testing.T) {
 			t.Fatalf("cheapest-first violated: %v after %v", e, prev)
 		}
 		prev = e
+	}
+}
+
+// refCheapestFirstPolicy is the slow reference: CheapestFirstPolicy as it
+// was before the one-pass insertion sort, two closure-driven stable sorts
+// and a fresh order per call.
+func refCheapestFirstPolicy(g *task.Graph) sim.SlotPolicy {
+	eff := EffectiveDeadlines(g)
+	return func(v *sim.SlotView) []int {
+		order := make([]int, 0, g.N())
+		for n := 0; n < g.N(); n++ {
+			order = append(order, n)
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			ca := v.Tasks.Remaining(order[a]) * g.Tasks[order[a]].Power
+			cb := v.Tasks.Remaining(order[b]) * g.Tasks[order[b]].Power
+			if ca != cb {
+				return ca < cb
+			}
+			return eff[order[a]] < eff[order[b]]
+		})
+		// Urgent tasks jump the queue.
+		sort.SliceStable(order, func(a, b int) bool {
+			ua := v.Tasks.Ready(order[a]) && urgent(v, order[a], eff)
+			ub := v.Tasks.Ready(order[b]) && urgent(v, order[b], eff)
+			return ua && !ub
+		})
+		return order
+	}
+}
+
+// randomGraph draws a DAG of up to 8 tasks on random NVPs. Powers and
+// execution times come from small sets so that equal costs and equal
+// effective deadlines occur and the tie-breaks are exercised.
+func randomGraph(src *rng.Source) *task.Graph {
+	n := 1 + src.Intn(8)
+	nvps := 1 + src.Intn(n)
+	tasks := make([]task.Task, n)
+	for i := range tasks {
+		tasks[i] = task.Task{
+			ID: i, Name: fmt.Sprintf("t%d", i),
+			ExecTime: []float64{60, 120, 150, 300}[src.Intn(4)],
+			Power:    []float64{0.005, 0.01, 0.02}[src.Intn(3)],
+			Deadline: []float64{600, 1200, 1800}[src.Intn(3)],
+			NVP:      src.Intn(nvps),
+		}
+	}
+	var edges []task.Edge
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if src.Bool(0.2) {
+				edges = append(edges, task.Edge{From: a, To: b})
+			}
+		}
+	}
+	return task.NewGraph("random", tasks, edges, nvps)
+}
+
+// midPeriodView drives a fresh task state of g through a random number of
+// slots of random partial progress and returns the view at the next slot:
+// some tasks finished, some missed, some urgent.
+func midPeriodView(src *rng.Source, g *task.Graph, tb solar.TimeBase) *sim.SlotView {
+	ts := nvp.MustNewSet(g)
+	slots := src.Intn(tb.SlotsPerPeriod)
+	for slot := 0; slot < slots; slot++ {
+		run := ts.FilterRunnable(src.Perm(g.N()))
+		run = run[:src.Intn(len(run)+1)]
+		speeds := make([]float64, len(run))
+		for k := range speeds {
+			speeds[k] = []float64{0.25, 0.5, 1}[src.Intn(3)]
+		}
+		ts.Run(run, speeds, tb.SlotSeconds)
+		ts.CheckDeadlines(float64(slot+1) * tb.SlotSeconds)
+	}
+	return &sim.SlotView{Slot: slots, Tasks: ts, Base: tb, DirectEff: 0.95,
+		SolarPower: src.Range(0, 0.05)}
+}
+
+func testGraphs(src *rng.Source) []*task.Graph {
+	graphs := []*task.Graph{task.WAM(), task.ECG(), task.SHM()}
+	for i := 0; i < 200; i++ {
+		graphs = append(graphs, randomGraph(src))
+	}
+	return graphs
+}
+
+// The one-pass cheapest-first order must equal the two-sort reference on
+// mid-period states, where partial progress, finished and missed tasks and
+// urgency all shape the order — not only at slot 0, where nothing is
+// urgent.
+func TestCheapestFirstMatchesReference(t *testing.T) {
+	src := rng.New(7)
+	urgentStates := 0
+	for gi, g := range testGraphs(src) {
+		fast, ref := CheapestFirstPolicy(g), refCheapestFirstPolicy(g)
+		eff := EffectiveDeadlines(g)
+		for trial := 0; trial < 20; trial++ {
+			v := midPeriodView(src, g, smallBase(1))
+			for n := range g.Tasks {
+				if v.Tasks.Ready(n) && urgent(v, n, eff) {
+					urgentStates++
+					break
+				}
+			}
+			got, want := fast(v), ref(v)
+			if !slices.Equal(got, want) {
+				t.Fatalf("graph %d slot %d: order %v, reference %v", gi, v.Slot, got, want)
+			}
+		}
+	}
+	if urgentStates == 0 {
+		t.Fatal("no state had an urgent task: the test does not exercise urgency")
+	}
+}
+
+// A slot policy reused across calls must answer as a fresh one does: no
+// scratch state may leak from one call into the next.
+func TestSlotScratchReuse(t *testing.T) {
+	src := rng.New(11)
+	tb := smallBase(1)
+	for gi, g := range testGraphs(src) {
+		intra := NewIntraMatch(g)
+		for trial := 0; trial < 20; trial++ {
+			v := midPeriodView(src, g, tb)
+			got := slices.Clone(intra.Slot(v))
+			if want := NewIntraMatch(g).Slot(v); !slices.Equal(got, want) {
+				t.Fatalf("graph %d: reused IntraMatch %v, fresh %v", gi, got, want)
+			}
+			order := src.Perm(g.N())
+			got = slices.Clone(v.Tasks.FilterRunnable(order))
+			if want := v.Tasks.Clone().FilterRunnable(order); !slices.Equal(got, want) {
+				t.Fatalf("graph %d: reused FilterRunnable %v, fresh %v", gi, got, want)
+			}
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func (p fixedPlan) BeginPeriod(*sim.PeriodView) sim.PeriodPlan {
 }
 func (p fixedPlan) Slot(v *sim.SlotView) []int { return p.policy(v) }
 
-// The planner scores a period with RunPeriodOnCap; the node then runs the
+// The planner scores a period with a PeriodRunner; the node then runs the
 // chosen period through Engine.Run. On one capacitor from the cut-off
 // voltage the two must agree exactly, or the DP optimizes a period the
 // node never sees.
@@ -53,14 +53,14 @@ func TestEnginePlannerAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					policy := core.FinePolicy(g, alpha, 0.3)
+					policy := core.NewFineStages(g, 0.3).Pick(alpha)
 					res, err := eng.Run(context.Background(), fixedPlan{allowed, policy})
 					if err != nil {
 						t.Fatal(err)
 					}
 					cap := supercap.New(10, eng.Config().Params) // at VLow, like the engine's bank
-					out := sim.RunPeriodOnCap(cap, tr.PeriodPowers(0, 0), g, allowed, policy,
-						tb.SlotSeconds, eng.Config().DirectEff)
+					out := sim.NewPeriodRunner(g, tb.SlotSeconds, eng.Config().DirectEff).
+						Run(cap, tr.PeriodPowers(0, 0), allowed, policy)
 					if res.MissedTasks() != out.Missed || res.FinalStored != cap.UsableEnergy() ||
 						res.Delivered != out.Delivered {
 						t.Errorf("%s/%s/mask%d/α=%v: engine misses %d stored %v delivered %v; planner %d, %v, %v",

@@ -22,7 +22,7 @@ type SlotStats struct {
 }
 
 // slotKernel is the slot-level energy model of eqs. (1)–(5). Engine.run
-// and the planner's RunPeriodOnCap both execute their slots through it —
+// and the planner's PeriodRunner both execute their slots through it —
 // the planner on a one-capacitor bank — so the offline optimizer scores
 // candidate periods with exactly the physics the node runs online.
 type slotKernel struct {

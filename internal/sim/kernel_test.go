@@ -304,13 +304,13 @@ func checkKernelAgainstReference(t *testing.T, c kernelCase) {
 	// The planner's period loop on the active capacitor.
 	policy := func(v *SlotView) []int { return c.orders[v.Slot] }
 	kc, rc := c.bank.Active().Clone(), c.bank.Active().Clone()
-	got := RunPeriodOnCap(kc, c.powers, c.g, c.allowed, policy, kernelDt, kernelEff)
+	got := NewPeriodRunner(c.g, kernelDt, kernelEff).Run(kc, c.powers, c.allowed, policy)
 	want := refRunPeriodOnCap(rc, c.powers, c.g, c.allowed, policy, kernelDt, kernelEff)
 	if got.Missed != want.Missed || !slices.Equal(got.Executed, want.Executed) ||
 		!sameBits(got.CapConsumed, want.CapConsumed) || !sameBits(got.FinalV, want.FinalV) ||
 		!sameBits(got.Delivered, want.Delivered) || !sameBits(got.Harvested, want.Harvested) ||
 		!sameBits(kc.V, rc.V) {
-		t.Fatalf("RunPeriodOnCap %+v, reference %+v", got, want)
+		t.Fatalf("PeriodRunner %+v, reference %+v", got, want)
 	}
 }
 

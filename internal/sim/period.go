@@ -12,40 +12,66 @@ import (
 // consumed E^c_{i,j} (eq. (15), negative when the period charged the
 // capacitor on net).
 type PeriodOutcome struct {
-	Missed      int
-	Executed    []bool  // te: tasks that ran at least one slot
+	Missed int
+	// Executed (te) marks the tasks that ran at least one slot. It is the
+	// runner's scratch, valid until its next Run.
+	Executed    []bool
 	CapConsumed float64 // usable-energy drop of the capacitor (J)
 	FinalV      float64
 	Delivered   float64 // J delivered to the NVPs
 	Harvested   float64 // J of solar input over the period
 }
 
-// RunPeriodOnCap simulates one period in isolation: the given capacitor is
-// the storage, powers are the slot solar powers, allowed masks the task set
-// (nil = all), and policy picks the slot-level execution order. The
-// capacitor is mutated; pass a clone to explore hypotheticals. The slots run
-// through the engine's own kernel on a one-capacitor bank, so leakage,
-// brownout trimming and deadline misses match the full engine exactly.
-func RunPeriodOnCap(cap *supercap.Capacitor, powers []float64, g *task.Graph,
-	allowed []bool, policy SlotPolicy, dt, directEff float64) PeriodOutcome {
+// PeriodRunner simulates periods in isolation on one capacitor — the
+// planner's scoring loop. The slots run through the engine's own kernel on
+// a one-capacitor bank, so leakage, brownout trimming and deadline misses
+// match the full engine exactly. A runner keeps its kernel, bank, task
+// state and slot view across runs, so scoring many candidate periods
+// allocates nothing per slot. It is not safe for concurrent use.
+type PeriodRunner struct {
+	k        slotKernel
+	bank     supercap.Bank
+	sv       SlotView
+	executed []bool
+}
 
-	k := &slotKernel{
-		bank: &supercap.Bank{Caps: []*supercap.Capacitor{cap}},
-		ts:   nvp.MustNewSet(g), dt: dt, directEff: directEff, allowed: allowed,
+// NewPeriodRunner returns a runner for graph g with slots of dt seconds and
+// the given direct-channel efficiency.
+func NewPeriodRunner(g *task.Graph, dt, directEff float64) *PeriodRunner {
+	r := &PeriodRunner{
+		k:        slotKernel{ts: nvp.MustNewSet(g), dt: dt, directEff: directEff},
+		bank:     supercap.Bank{Caps: make([]*supercap.Capacitor, 1)},
+		executed: make([]bool, g.N()),
 	}
-	out := PeriodOutcome{Executed: make([]bool, g.N())}
-	startUsable := cap.UsableEnergy()
-	sv := &SlotView{Cap: cap, Bank: k.bank, Tasks: k.ts, DirectEff: directEff}
-	sv.Base.SlotSeconds = dt
+	r.k.bank = &r.bank
+	r.sv = SlotView{Bank: &r.bank, Tasks: r.k.ts, DirectEff: directEff}
+	r.sv.Base.SlotSeconds = dt
+	return r
+}
+
+// Run simulates one period from a fresh task state: cap is the storage,
+// powers are the slot solar powers, allowed masks the task set (nil = all),
+// and policy picks the slot-level execution order. The capacitor is
+// mutated; pass a clone to explore hypotheticals.
+func (r *PeriodRunner) Run(cap *supercap.Capacitor, powers []float64, allowed []bool, policy SlotPolicy) PeriodOutcome {
+	k, sv := &r.k, &r.sv
+	r.bank.Caps[0] = cap
+	k.ts.ResetPeriod()
+	k.allowed = allowed
+	clear(r.executed)
+	sv.Cap = cap
 	sv.Base.SlotsPerPeriod = len(powers)
+
+	out := PeriodOutcome{Executed: r.executed}
+	startUsable := cap.UsableEnergy()
 	for slot, solarW := range powers {
 		sv.Slot, sv.SolarPower = slot, solarW
 		st := k.stepSlot(sv, policy(sv), solarW, slot)
 		for _, n := range st.Ran {
 			out.Executed[n] = true
 		}
-		out.Delivered += st.LoadPower * dt
-		out.Harvested += solarW * dt
+		out.Delivered += st.LoadPower * k.dt
+		out.Harvested += solarW * k.dt
 	}
 	out.Missed = k.ts.Misses()
 	out.CapConsumed = startUsable - cap.UsableEnergy()

@@ -81,11 +81,19 @@ type Scheduler interface {
 	// Slot returns the tasks to execute in this slot, highest priority
 	// first. The engine filters the list for readiness and one-task-per-NVP
 	// and trims it from the tail if the energy cannot carry the load.
+	//
+	// The returned slice may be the scheduler's own scratch: it is valid
+	// only until the next call, and callers that keep it copy it. The
+	// engine never writes to it. A scheduler value is not safe for
+	// concurrent use.
 	Slot(v *SlotView) []int
 }
 
 // SlotPolicy is a slot-level scheduling function, used standalone by the
-// planners in internal/core to simulate candidate periods.
+// planners in internal/core to simulate candidate periods. Like
+// Scheduler.Slot, the returned slice may be the policy's own scratch, valid
+// only until the next call, and one policy value is not safe for
+// concurrent use.
 type SlotPolicy func(v *SlotView) []int
 
 // SpeedScheduler is an optional Scheduler extension for DVFS-capable nodes
@@ -382,6 +390,9 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 		return opts.Sink(st)
 	}
 
+	// One view serves every slot of the run; each powered slot resets all
+	// of its fields, the sensor-fault shim's included.
+	sv := &SlotView{}
 	var daySpan *obs.Span
 	for k := startPeriod; k < tb.TotalPeriods(); k++ {
 		day, period := k/tb.PeriodsPerDay, k%tb.PeriodsPerDay
@@ -458,7 +469,7 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 				res.DeadSlots++
 				st.Leaked = kern.endSlot(slot)
 			} else {
-				sv := &SlotView{
+				*sv = SlotView{
 					Day: day, Period: period, Slot: slot, Base: tb,
 					SolarPower: solarW, Cap: bank.Active(), Bank: bank,
 					Tasks: ts, DirectEff: e.cfg.DirectEff,

@@ -257,7 +257,8 @@ func TestRunPeriodOnCapBasics(t *testing.T) {
 
 	cap := supercap.New(10, p)
 	cap.Charge(20)
-	out := sim.RunPeriodOnCap(cap, powers, g, nil, policy, 60, 0.95)
+	r := sim.NewPeriodRunner(g, 60, 0.95)
+	out := r.Run(cap, powers, nil, policy)
 	if out.Missed != 0 {
 		t.Fatalf("missed %d with bright solar", out.Missed)
 	}
@@ -271,14 +272,20 @@ func TestRunPeriodOnCapBasics(t *testing.T) {
 	}
 
 	// In darkness with an empty capacitor everything misses and the
-	// capacitor only loses (leak) energy.
+	// capacitor only loses (leak) energy. The runner starts each period
+	// from a fresh task state.
 	empty := supercap.New(10, p)
-	dark := sim.RunPeriodOnCap(empty, make([]float64, 30), g, nil, policy, 60, 0.95)
+	dark := r.Run(empty, make([]float64, 30), nil, policy)
 	if dark.Missed != g.N() {
 		t.Fatalf("dark missed = %d, want %d", dark.Missed, g.N())
 	}
 	if dark.Delivered != 0 {
 		t.Fatalf("dark delivered = %v", dark.Delivered)
+	}
+	for i, ex := range dark.Executed {
+		if ex {
+			t.Fatalf("task %d executed in darkness", i)
+		}
 	}
 }
 
@@ -291,7 +298,7 @@ func TestRunPeriodOnCapConsumedSign(t *testing.T) {
 	// energy (positive CapConsumed).
 	cap := supercap.New(50, p)
 	cap.Charge(60)
-	out := sim.RunPeriodOnCap(cap, make([]float64, 30), g, nil, policy, 60, 0.95)
+	out := sim.NewPeriodRunner(g, 60, 0.95).Run(cap, make([]float64, 30), nil, policy)
 	if out.CapConsumed <= 0 {
 		t.Fatalf("CapConsumed = %v, want positive in darkness", out.CapConsumed)
 	}
@@ -303,7 +310,7 @@ func TestRunPeriodOnCapConsumedSign(t *testing.T) {
 		bright[i] = 0.09
 	}
 	none := make([]bool, g.N())
-	out2 := sim.RunPeriodOnCap(cap2, bright, g, none, policy, 60, 0.95)
+	out2 := sim.NewPeriodRunner(g, 60, 0.95).Run(cap2, bright, none, policy)
 	if out2.CapConsumed >= 0 {
 		t.Fatalf("CapConsumed = %v, want negative (net charge)", out2.CapConsumed)
 	}
@@ -320,7 +327,7 @@ func TestAllowedMaskLimitsExecutedSet(t *testing.T) {
 	allowed := make([]bool, g.N())
 	allowed[0] = true // only the root lpf task
 	cap := supercap.New(10, p)
-	out := sim.RunPeriodOnCap(cap, bright, g, allowed, policy, 60, 0.95)
+	out := sim.NewPeriodRunner(g, 60, 0.95).Run(cap, bright, allowed, policy)
 	if !out.Executed[0] {
 		t.Fatal("allowed task not executed")
 	}

@@ -68,12 +68,15 @@ fi
 # Removed duplicate paths and aliases: the slot kernel replaced
 # ExecSlotDVFS (and nvp's RunScaled), sched.LazyPolicy duplicated
 # InterLSA, sim.ErrInterrupted was an alias of ErrCanceled, and the ckpt
-# wrappers passed straight through to atomicio. Any of them coming back
-# fails the audit.
+# wrappers passed straight through to atomicio. The planner's per-call
+# set-up went too: sim.RunPeriodOnCap became the reusable PeriodRunner,
+# core.FinePolicy became FineStages.Pick, and sched's nvpBusy helper is
+# gone. Any of them coming back fails the audit; word matching lets the
+# ref* test references through.
 removed=$(grep -rnwE --include='*.go' \
-  'ExecSlotDVFS|RunScaled|LazyPolicy|ErrInterrupted|ckpt\.WriteFileAtomic|ckpt\.NewAtomicWriter|ckpt\.AtomicWriter' . || true)
+  'ExecSlotDVFS|RunScaled|LazyPolicy|ErrInterrupted|ckpt\.WriteFileAtomic|ckpt\.NewAtomicWriter|ckpt\.AtomicWriter|RunPeriodOnCap|FinePolicy|nvpBusy' . || true)
 if [ -n "$removed" ]; then
-  echo "audit_facade: removed symbols in use (use the slot kernel, nvp.Set.Run, ErrCanceled, atomicio):" >&2
+  echo "audit_facade: removed symbols in use (use the slot kernel, nvp.Set.Run, ErrCanceled, atomicio, sim.PeriodRunner, core.FineStages):" >&2
   echo "$removed" >&2
   fail=1
 fi
