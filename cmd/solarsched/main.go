@@ -12,6 +12,9 @@
 // simulations on the internal/fleet worker pool with a shared offline
 // artifact cache; see cmd/solarsched/fleet.go.
 //
+// The cap and trace subcommands are the super-capacitor model explorer
+// and the synthetic solar trace tool; see cap.go and trace.go.
+//
 // Flags:
 //
 //	-quick          reduced configuration (smoke-test scale)
@@ -56,19 +59,23 @@ func main() {
 // return path — including graceful interruption — unwinds the deferred
 // signal handler and maps its error honestly onto the process status.
 func run() int {
-	// The fleet and bench subcommands carry their own flag sets; dispatch
-	// before the global flag.Parse so they never collide.
-	if len(os.Args) > 1 && os.Args[1] == "fleet" {
-		return runFleet(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		return runBench(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "store" {
-		return runStore(os.Args[2:])
-	}
-	if len(os.Args) > 1 && os.Args[1] == "model" {
-		return runModel(os.Args[2:])
+	// Subcommands carry their own flag sets; dispatch before the global
+	// flag.Parse so they never collide.
+	if len(os.Args) > 1 {
+		switch args := os.Args[2:]; os.Args[1] {
+		case "fleet":
+			return runFleet(args)
+		case "bench":
+			return runBench(args)
+		case "store":
+			return runStore(args)
+		case "model":
+			return runModel(args)
+		case "cap":
+			return runCap(args)
+		case "trace":
+			return runTrace(args)
+		}
 	}
 	quick := flag.Bool("quick", false, "run the reduced (smoke-test) configuration")
 	csvDir := flag.String("csv", "", "directory to write CSV copies of each table")
@@ -155,6 +162,21 @@ func run() int {
 	if err := stopAndEmit(stop, &of); err != nil {
 		logger.Error("metrics emit failed", "err", err)
 		return 1
+	}
+	return 0
+}
+
+// runVerbs runs the verb args[0] of a tool subcommand (cap, trace),
+// printing usage for a missing or unknown verb.
+func runVerbs(name, usage string, args []string, verbs map[string]func([]string) error) int {
+	if len(args) == 0 || verbs[args[0]] == nil {
+		fmt.Fprint(os.Stderr, usage)
+		return 2
+	}
+	if err := verbs[args[0]](args[1:]); err != nil {
+		logger, _ := obs.NewLogger(os.Stderr, obs.LogText, false)
+		logger.Error("command failed", "cmd", name+" "+args[0], "err", err)
+		return cli.ExitCode(err)
 	}
 	return 0
 }
@@ -352,15 +374,20 @@ ablations (design-choice studies, not in the paper's figures):
 
 batch runs:
   fleet <spec.json>     run a batch of simulations on the shared-cache
-                        worker pool (see \"solarsched fleet -h\")
+                        worker pool (see "solarsched fleet -h")
 
 performance:
   bench                 run the profiled benchmark suite and diff against
-                        a committed BENCH_*.json (see \"solarsched bench -h\")
+                        a committed BENCH_*.json (see "solarsched bench -h")
 
 continuous learning:
   model                 inspect, promote and roll back versions in a
-                        learn-dir model registry (see \"solarsched model -h\")
+                        learn-dir model registry (see "solarsched model -h")
+
+capacitor and solar tools:
+  cap curves|migrate|sweep
+                        super-capacitor model explorer (see "solarsched cap")
+  trace gen|info|days   synthetic solar trace tool (see "solarsched trace")
 
 flags:
 `)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"solarsched/internal/experiments"
+	"solarsched/internal/solar"
 )
 
 func TestSelectBenchmarks(t *testing.T) {
@@ -37,5 +38,27 @@ func TestDispatchCheapExperiments(t *testing.T) {
 	}
 	if _, err := dispatch(context.Background(), "bogus", cfg, "", []float64{0, 1}, 1); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+func TestParseConditions(t *testing.T) {
+	got, err := parseConditions("sunny, rainy,overcast,partly-cloudy,cloudy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []solar.Condition{solar.Sunny, solar.Rainy, solar.Overcast, solar.PartlyCloudy, solar.PartlyCloudy}
+	if len(got) != len(want) {
+		t.Fatalf("len = %d", len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if out, err := parseConditions(""); err != nil || out != nil {
+		t.Fatal("empty conditions should be nil, nil")
+	}
+	if _, err := parseConditions("snowy"); err == nil {
+		t.Fatal("unknown condition accepted")
 	}
 }

@@ -5,6 +5,12 @@
 // path — never a truncated or interleaved file. It sits below every
 // writer of results and checkpoints (internal/ckpt wraps it; internal/obs
 // uses it for -metrics-out).
+//
+// It also owns the one sealed-file format (Seal/Unseal, envelope.go): a
+// JSON header line carrying the payload's length and SHA-256, then the
+// payload. Checkpoints, store artifacts, dist messages and learn
+// telemetry are all sealed with it, so a torn or bit-flipped file is
+// rejected with ErrCorrupt wherever it is read.
 package atomicio
 
 import (

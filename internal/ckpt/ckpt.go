@@ -16,11 +16,7 @@ package ckpt
 
 import (
 	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,93 +33,53 @@ const (
 	FormatVersion = 1
 )
 
-// ErrCorruptCheckpoint is wrapped into every Decode rejection of a torn,
-// truncated or foreign checkpoint file: missing or malformed header, wrong
-// magic or format version, payload length or checksum mismatch, undecodable
-// payload. Callers use errors.Is(err, ckpt.ErrCorruptCheckpoint) instead of
-// string-matching; Load falls back to the previous generation on it.
-var ErrCorruptCheckpoint = errors.New("ckpt: corrupt checkpoint")
-
 // DefaultInterval is the wall-clock throttle the CLIs apply to periodic
 // checkpoint writes: at most one durable (fsynced) checkpoint per second.
 // It bounds checkpoint I/O to well under 5% of run time for any workload
 // while losing at most one second of progress to a kill.
 const DefaultInterval = time.Second
 
-// Header is the self-describing first line of a checkpoint file: a JSON
-// object terminated by '\n', followed by exactly PayloadBytes of JSON
-// payload. A reader can validate a checkpoint — or detect a torn one —
-// from the header alone plus one hash pass.
+// Header is the self-describing first line of a checkpoint file, sealed
+// by atomicio: a reader can validate a checkpoint — or detect a torn
+// one — from the header alone plus one hash pass.
 type Header struct {
-	Magic         string `json:"magic"`
-	Version       int    `json:"version"`
+	atomicio.Envelope
 	Seq           uint64 `json:"seq"`
 	SchedulerName string `json:"scheduler"`
 	ConfigDigest  string `json:"config_digest"`
 	NextPeriod    int    `json:"next_period"`
-	PayloadBytes  int    `json:"payload_bytes"`
-	PayloadSHA256 string `json:"payload_sha256"`
+	atomicio.Checksum
 }
 
-// Encode serializes a RunState into the envelope format.
+var envelope = atomicio.Envelope{Magic: Magic, Version: FormatVersion}
+
+// Encode serializes a RunState into a sealed checkpoint.
 func Encode(rs *sim.RunState, seq uint64) ([]byte, error) {
 	payload, err := json.Marshal(rs)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode payload: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	hdr := Header{
-		Magic:         Magic,
-		Version:       FormatVersion,
+	return atomicio.Seal(&Header{
+		Envelope:      envelope,
 		Seq:           seq,
 		SchedulerName: rs.SchedulerName,
 		ConfigDigest:  rs.ConfigDigest,
 		NextPeriod:    rs.NextPeriod,
-		PayloadBytes:  len(payload),
-		PayloadSHA256: hex.EncodeToString(sum[:]),
-	}
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode header: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(hb) + 1 + len(payload))
-	buf.Write(hb)
-	buf.WriteByte('\n')
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	}, payload)
 }
 
-// Decode parses and verifies an envelope: magic, version, payload length
-// and checksum. A failure means the file is torn, truncated or foreign —
-// callers fall back to the previous generation.
+// Decode verifies a sealed checkpoint and decodes its RunState. Every
+// failure wraps atomicio.ErrCorrupt: the file is torn, truncated or
+// foreign, and callers fall back to the previous generation.
 func Decode(data []byte) (*sim.RunState, Header, error) {
-	var hdr Header
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, hdr, fmt.Errorf("%w: missing header line", ErrCorruptCheckpoint)
-	}
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, hdr, fmt.Errorf("%w: bad header: %v", ErrCorruptCheckpoint, err)
-	}
-	if hdr.Magic != Magic {
-		return nil, hdr, fmt.Errorf("%w: not a checkpoint file (magic %q)", ErrCorruptCheckpoint, hdr.Magic)
-	}
-	if hdr.Version != FormatVersion {
-		return nil, hdr, fmt.Errorf("%w: format version %d, this build reads %d", ErrCorruptCheckpoint, hdr.Version, FormatVersion)
-	}
-	payload := data[nl+1:]
-	if len(payload) != hdr.PayloadBytes {
-		return nil, hdr, fmt.Errorf("%w: payload is %d bytes, header says %d (torn write)",
-			ErrCorruptCheckpoint, len(payload), hdr.PayloadBytes)
-	}
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != hdr.PayloadSHA256 {
-		return nil, hdr, fmt.Errorf("%w: payload checksum mismatch (torn write)", ErrCorruptCheckpoint)
+	hdr := Header{Envelope: envelope}
+	payload, err := atomicio.Unseal(&hdr, data)
+	if err != nil {
+		return nil, hdr, err
 	}
 	var rs sim.RunState
 	if err := json.Unmarshal(payload, &rs); err != nil {
-		return nil, hdr, fmt.Errorf("%w: decode payload: %v", ErrCorruptCheckpoint, err)
+		return nil, hdr, fmt.Errorf("%w: %s: decode payload: %v", atomicio.ErrCorrupt, Magic, err)
 	}
 	return &rs, hdr, nil
 }
@@ -147,7 +103,8 @@ type Store struct {
 }
 
 // NewStore returns a store at path, creating the parent directory. The
-// sequence number continues from an existing checkpoint at the path, so
+// sequence number continues from the newest loadable generation at the
+// path (the previous one if a kill or a torn write lost the newest), so
 // resumed runs keep a monotonic journal.
 func NewStore(path string) (*Store, error) {
 	if path == "" {
@@ -157,10 +114,8 @@ func NewStore(path string) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{path: path}
-	if data, err := os.ReadFile(path); err == nil {
-		if _, hdr, err := Decode(data); err == nil {
-			st.seq = hdr.Seq
-		}
+	if _, hdr, _, err := st.Load(); err == nil {
+		st.seq = hdr.Seq
 	}
 	return st, nil
 }

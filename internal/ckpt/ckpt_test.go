@@ -1,11 +1,14 @@
 package ckpt
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/sim"
 	"solarsched/internal/supercap"
 )
@@ -45,22 +48,50 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// The envelope-level corruption cases live in atomicio's FuzzUnseal;
+// these are the checkpoint-specific ones.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	data, err := Encode(sampleState(3), 1)
+	artifact := atomicio.Envelope{Magic: "solarsched-art", Version: 1, Label: "sizing:00"}
+	foreign, err := atomicio.Seal(&atomicio.Bare{Envelope: artifact}, []byte("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	undecodable, err := atomicio.Seal(&Header{Envelope: envelope}, []byte(`{"next_period":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"truncated payload": data[:len(data)-5],
-		"flipped byte":      append(append([]byte(nil), data[:len(data)-3]...), data[len(data)-3]^0x40, data[len(data)-2], data[len(data)-1]),
-		"no header line":    []byte("garbage with no newline"),
-		"foreign magic":     []byte(`{"magic":"other","version":1,"payload_bytes":0,"payload_sha256":""}` + "\n"),
-		"future version":    []byte(`{"magic":"solarsched-ckpt","version":999,"payload_bytes":0,"payload_sha256":""}` + "\n"),
+		"store artifact":      foreign,
+		"undecodable payload": undecodable,
 	}
 	for name, d := range cases {
-		if _, _, err := Decode(d); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, _, err := Decode(d); !errors.Is(err, atomicio.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestCheckpointFixture pins the on-disk format: a checkpoint written by
+// an earlier build (nodesim run -scheduler inter on wam, bank 2,10) must
+// still load, and re-encoding its state must give the same bytes.
+func TestCheckpointFixture(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "inter-wam.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, hdr, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Seq != 191 || hdr.NextPeriod != 191 || hdr.SchedulerName != "inter-task-lsa/wcma" {
+		t.Fatalf("header %+v", hdr)
+	}
+	again, err := Encode(rs, hdr.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("re-encoded checkpoint differs from the fixture:\n got %.300q\nwant %.300q", again, data)
 	}
 }
 
@@ -140,6 +171,46 @@ func TestStoreSeqContinuesAcrossReopen(t *testing.T) {
 	}
 	if hdr.Seq != 4 {
 		t.Fatalf("seq after reopen = %d, want 4", hdr.Seq)
+	}
+}
+
+// A reopened store must continue the sequence from the newest loadable
+// generation even when the newest file is gone (a kill between rotating
+// it to .prev and publishing the new one) or torn.
+func TestStoreSeqMonotonicWhenNewestLost(t *testing.T) {
+	cases := map[string]struct {
+		lose    func(st *Store) error
+		wantSeq uint64
+	}{
+		"killed mid-rotation": {func(st *Store) error { return os.Rename(st.Path(), st.PrevPath()) }, 5},
+		"newest torn":         {func(st *Store) error { return os.WriteFile(st.Path(), []byte("torn"), 0o644) }, 4},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			st, err := NewStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 4; i++ {
+				if err := st.Save(sampleState(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.lose(st); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := NewStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st2.Save(sampleState(5)); err != nil {
+				t.Fatal(err)
+			}
+			if _, hdr, _, err := st2.Load(); err != nil || hdr.Seq != tc.wantSeq {
+				t.Fatalf("seq after reopen = %d (err %v), want %d", hdr.Seq, err, tc.wantSeq)
+			}
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package cli holds the plumbing shared by the four command-line tools:
+// Package cli holds the plumbing shared by the command-line tools:
 // signal-aware contexts for graceful shutdown, conventional exit codes,
 // and the checkpoint/resume flag bundle wired into ckpt and sim.
 package cli

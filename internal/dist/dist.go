@@ -4,7 +4,7 @@
 // claim items by atomically renaming them into claimed/, heartbeat by
 // touching their lease, execute the run against the shared artifact
 // store, and publish the result as another file. Every protocol message
-// is wrapped in the store's SHA-256 envelope (store.Seal/Unseal) and
+// is sealed under a store.Header label (atomicio.Seal/Unseal) and
 // written with the atomicio temp+fsync+rename protocol, so a reader
 // either sees a complete verified message or nothing.
 //
@@ -142,7 +142,7 @@ func writeSealed(fsys store.FS, path, label string, v any) error {
 	if err != nil {
 		return fmt.Errorf("dist: marshal %s: %w", label, err)
 	}
-	data, err := store.Seal(label, payload)
+	data, err := atomicio.Seal(store.Header(label), payload)
 	if err != nil {
 		return err
 	}
@@ -151,19 +151,19 @@ func writeSealed(fsys store.FS, path, label string, v any) error {
 
 // readSealed reads, verifies and unmarshals a protocol message. A
 // missing file returns fs.ErrNotExist; a torn or corrupt one returns
-// store.ErrCorruptArtifact — callers treat both as "message absent" and
+// atomicio.ErrCorrupt — callers treat both as "message absent" and
 // let reclamation recover.
 func readSealed(fsys store.FS, path, label string, v any) error {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	payload, err := store.Unseal(label, data)
+	payload, err := atomicio.Unseal(store.Header(label), data)
 	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("%w: %s payload: %v", store.ErrCorruptArtifact, label, err)
+		return fmt.Errorf("%w: %s payload: %v", atomicio.ErrCorrupt, label, err)
 	}
 	return nil
 }

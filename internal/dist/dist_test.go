@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/fleet"
 	"solarsched/internal/obs"
 	"solarsched/internal/sim"
@@ -334,7 +335,7 @@ func TestDistProtocolBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var torn Item
-	if err := readSealed(fsys, leased, labelItem, &torn); !errors.Is(err, store.ErrCorruptArtifact) {
-		t.Fatalf("torn lease read: err = %v, want ErrCorruptArtifact", err)
+	if err := readSealed(fsys, leased, labelItem, &torn); !errors.Is(err, atomicio.ErrCorrupt) {
+		t.Fatalf("torn lease read: err = %v, want atomicio.ErrCorrupt", err)
 	}
 }

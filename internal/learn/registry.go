@@ -120,7 +120,7 @@ func (r *Registry) load() error {
 		}
 		return fmt.Errorf("learn: reading manifest: %w", err)
 	}
-	payload, err := store.Unseal(manifestSeal, data)
+	payload, err := atomicio.Unseal(store.Header(manifestSeal), data)
 	if err != nil {
 		return fmt.Errorf("learn: manifest corrupt (restore from a backup or remove %s): %w", r.manifestPath(), err)
 	}
@@ -153,7 +153,7 @@ func (r *Registry) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("learn: encoding manifest: %w", err)
 	}
-	sealed, err := store.Seal(manifestSeal, payload)
+	sealed, err := atomicio.Seal(store.Header(manifestSeal), payload)
 	if err != nil {
 		return err
 	}

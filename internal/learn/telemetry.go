@@ -13,8 +13,8 @@ import (
 	"solarsched/internal/store"
 )
 
-// telemetrySeal is the envelope label of a telemetry segment file; the
-// store's Seal/Unseal discipline (length + SHA-256 header) makes torn or
+// telemetrySeal is the envelope label of a telemetry segment file; sealing
+// it under a store.Header (length + SHA-256 header) makes torn or
 // corrupt segments detectable and skippable, never fatal.
 const telemetrySeal = "solarsched-telemetry"
 
@@ -170,7 +170,7 @@ func readSegment(path string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := store.Unseal(telemetrySeal, data)
+	payload, err := atomicio.Unseal(store.Header(telemetrySeal), data)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +233,7 @@ func (t *TelemetryLog) flushLocked() error {
 	if err != nil {
 		return fmt.Errorf("learn: encoding segment: %w", err)
 	}
-	sealed, err := store.Seal(telemetrySeal, payload)
+	sealed, err := atomicio.Seal(store.Header(telemetrySeal), payload)
 	if err != nil {
 		return err
 	}

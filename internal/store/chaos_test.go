@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/obs"
 )
 
@@ -42,7 +43,7 @@ func TestChaosNeverServesCorrupt(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("round %d key %d: store served corrupt payload", round, i)
 				}
-			case errors.Is(err, ErrNotFound), errors.Is(err, ErrCorruptArtifact), errors.Is(err, ErrInjected):
+			case errors.Is(err, ErrNotFound), errors.Is(err, atomicio.ErrCorrupt), errors.Is(err, ErrInjected):
 				// Miss, quarantined entry, or injected read fault: rebuild.
 				// Put may itself fail under injection; the entry is simply
 				// rebuilt again next round.

@@ -25,9 +25,6 @@
 package store
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,10 +50,6 @@ const (
 var (
 	// ErrNotFound means the key has no entry — the ordinary cache miss.
 	ErrNotFound = errors.New("store: artifact not found")
-	// ErrCorruptArtifact wraps every verification failure: torn or
-	// truncated envelope, digest mismatch, key mismatch. The entry has
-	// already been quarantined when this is returned; callers rebuild.
-	ErrCorruptArtifact = errors.New("store: corrupt artifact")
 	// ErrLocked means another process holds the maintenance lock (and it
 	// is not stale). Maintenance is skippable; callers typically retry
 	// later or proceed without it.
@@ -179,84 +172,15 @@ func (s *Store) entryPath(kind, digest string) string {
 	return filepath.Join(s.objectsDir(), kind, digest+".art")
 }
 
-// header is the self-describing first line of an artifact file, the same
-// envelope discipline as a checkpoint: JSON terminated by '\n', then
-// exactly PayloadBytes of payload. One hash pass verifies the whole file.
-type header struct {
-	Magic         string `json:"magic"`
-	Version       int    `json:"version"`
-	Key           string `json:"key"`
-	PayloadBytes  int    `json:"payload_bytes"`
-	PayloadSHA256 string `json:"payload_sha256"`
-}
-
-// encodeEnvelope wraps payload for key.
-func encodeEnvelope(key string, payload []byte) ([]byte, error) {
-	sum := sha256.Sum256(payload)
-	hb, err := json.Marshal(header{
-		Magic:         Magic,
-		Version:       FormatVersion,
-		Key:           key,
-		PayloadBytes:  len(payload),
-		PayloadSHA256: hex.EncodeToString(sum[:]),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: encode header: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(hb) + 1 + len(payload))
-	buf.Write(hb)
-	buf.WriteByte('\n')
-	buf.Write(payload)
-	return buf.Bytes(), nil
-}
-
-// decodeEnvelope verifies data against key and returns the payload. Any
-// failure means the entry must not be served.
-func decodeEnvelope(key string, data []byte) ([]byte, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: missing header line", ErrCorruptArtifact)
-	}
-	var hdr header
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, fmt.Errorf("%w: bad header: %v", ErrCorruptArtifact, err)
-	}
-	if hdr.Magic != Magic {
-		return nil, fmt.Errorf("%w: not an artifact file (magic %q)", ErrCorruptArtifact, hdr.Magic)
-	}
-	if hdr.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrCorruptArtifact, hdr.Version, FormatVersion)
-	}
-	if key != "" && hdr.Key != key {
-		return nil, fmt.Errorf("%w: entry holds key %q, path says %q", ErrCorruptArtifact, hdr.Key, key)
-	}
-	payload := data[nl+1:]
-	if len(payload) != hdr.PayloadBytes {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header says %d (torn write)",
-			ErrCorruptArtifact, len(payload), hdr.PayloadBytes)
-	}
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != hdr.PayloadSHA256 {
-		return nil, fmt.Errorf("%w: payload sha256 %s, header says %s", ErrCorruptArtifact, got, hdr.PayloadSHA256)
-	}
-	return payload, nil
-}
-
-// Seal wraps payload in the store's self-verifying envelope under an
-// arbitrary label. It is the same discipline entries use on disk —
-// header line with payload length + SHA-256, then the payload — exposed
-// so other on-disk protocols (the dist coordinator/worker lease files)
-// can detect torn or corrupt messages the same way the store does.
-func Seal(label string, payload []byte) ([]byte, error) {
-	return encodeEnvelope(label, payload)
-}
-
-// Unseal verifies data sealed under label and returns the payload. Any
-// failure — torn write, flipped bit, wrong label — reports
-// ErrCorruptArtifact; callers treat the message as absent.
-func Unseal(label string, data []byte) ([]byte, error) {
-	return decodeEnvelope(label, data)
+// Header returns the header an entry under key is sealed with
+// (atomicio.Seal/Unseal): the store's magic and version, and the key as
+// the label, so one hash pass verifies the whole file and a misplaced
+// entry is caught. Other on-disk protocols (the dist coordinator/worker
+// messages, the learn telemetry segments and model manifest) seal under
+// an arbitrary label with it, so they detect torn or corrupt messages the
+// same way the store does.
+func Header(label string) *atomicio.Bare {
+	return &atomicio.Bare{Envelope: atomicio.Envelope{Magic: Magic, Version: FormatVersion, Label: label}}
 }
 
 // Put publishes payload under key. The write is atomic: a crash at any
@@ -273,7 +197,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.countPutError()
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
-	data, err := encodeEnvelope(key, payload)
+	data, err := atomicio.Seal(Header(key), payload)
 	if err != nil {
 		s.countPutError()
 		return err
@@ -287,7 +211,7 @@ func (s *Store) Put(key string, payload []byte) error {
 
 // Get returns the payload stored under key, verifying the envelope. A
 // missing entry returns ErrNotFound; an entry that fails verification is
-// quarantined first and returns ErrCorruptArtifact — corrupt data is
+// quarantined first and returns atomicio.ErrCorrupt — corrupt data is
 // never served, and the next Put simply rebuilds the entry. A successful
 // read refreshes the entry's mtime (the GC's LRU clock).
 func (s *Store) Get(key string) ([]byte, error) {
@@ -305,7 +229,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: get %s: %w", key, err)
 	}
-	payload, err := decodeEnvelope(key, data)
+	payload, err := atomicio.Unseal(Header(key), data)
 	if err != nil {
 		s.quarantine(path, err)
 		s.misses.Add(1)
@@ -497,7 +421,7 @@ func (s *Store) sweepOrphans() error {
 				continue
 			}
 			s.quarantine(filepath.Join(kindDir, f.Name()),
-				fmt.Errorf("%w: orphaned publication temporary", ErrCorruptArtifact))
+				fmt.Errorf("%w: orphaned publication temporary", atomicio.ErrCorrupt))
 		}
 	}
 	return nil
@@ -532,7 +456,7 @@ func (s *Store) Verify() (VerifyStats, error) {
 		vs.Checked++
 		data, err := s.fsys.ReadFile(e.path)
 		if err == nil {
-			_, err = decodeEnvelope(e.key, data)
+			_, err = atomicio.Unseal(Header(e.key), data)
 		}
 		if err != nil {
 			s.quarantine(e.path, err)

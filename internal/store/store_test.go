@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"solarsched/internal/atomicio"
 	"solarsched/internal/obs"
 )
 
@@ -91,8 +92,8 @@ func TestCorruptEntryQuarantinedAndRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := s.Get(key); !errors.Is(err, ErrCorruptArtifact) {
-		t.Fatalf("Get of corrupt entry: err = %v, want ErrCorruptArtifact", err)
+	if _, err := s.Get(key); !errors.Is(err, atomicio.ErrCorrupt) {
+		t.Fatalf("Get of corrupt entry: err = %v, want atomicio.ErrCorrupt", err)
 	}
 	if s.Has(key) {
 		t.Fatal("corrupt entry still present in objects/ after Get")
@@ -138,8 +139,8 @@ func TestTruncatedEntryQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(key); !errors.Is(err, ErrCorruptArtifact) {
-		t.Fatalf("Get of truncated entry: err = %v, want ErrCorruptArtifact", err)
+	if _, err := s.Get(key); !errors.Is(err, atomicio.ErrCorrupt) {
+		t.Fatalf("Get of truncated entry: err = %v, want atomicio.ErrCorrupt", err)
 	}
 }
 
@@ -163,8 +164,8 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	if err := os.WriteFile(dst, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(testKey(6)); !errors.Is(err, ErrCorruptArtifact) {
-		t.Fatalf("Get under wrong key: err = %v, want ErrCorruptArtifact", err)
+	if _, err := s.Get(testKey(6)); !errors.Is(err, atomicio.ErrCorrupt) {
+		t.Fatalf("Get under wrong key: err = %v, want atomicio.ErrCorrupt", err)
 	}
 }
 

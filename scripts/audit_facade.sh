@@ -81,6 +81,33 @@ if [ -n "$removed" ]; then
   fail=1
 fi
 
+# One sealed envelope: atomicio.Seal/Unseal and atomicio.ErrCorrupt
+# replaced store's envelope codec (and its Seal/Unseal pass-throughs),
+# ckpt's hand-rolled header codec and both packages' corruption
+# sentinels. Any of them coming back fails the audit.
+envelope=$(grep -rnwE --include='*.go' \
+  'encodeEnvelope|decodeEnvelope|store\.Seal|store\.Unseal|ErrCorruptArtifact|ckpt\.ErrCorruptCheckpoint' . || true)
+if [ -n "$envelope" ]; then
+  echo "audit_facade: removed envelope codecs in use (use atomicio.Seal/Unseal, atomicio.ErrCorrupt):" >&2
+  echo "$envelope" >&2
+  fail=1
+fi
+
+# The capsim and solartrace binaries became `solarsched cap` and
+# `solarsched trace`; neither may come back or be named again.
+for tool in capsim solartrace; do
+  if [ -e "cmd/$tool" ]; then
+    echo "audit_facade: cmd/$tool is back (use solarsched cap / solarsched trace)" >&2
+    fail=1
+  fi
+  named=$(grep -rnw "$tool" scripts README.md DESIGN.md | grep -v '^scripts/audit_facade.sh:' || true)
+  if [ -n "$named" ]; then
+    echo "audit_facade: removed $tool binary still named:" >&2
+    echo "$named" >&2
+    fail=1
+  fi
+done
+
 # Orphan check: every internal package the facade imports must back at
 # least one re-export; a dangling import means a pruned symbol left its
 # import behind (goimports would drop it, but be explicit).

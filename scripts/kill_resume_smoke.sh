@@ -16,10 +16,10 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
 go build -o "$work/nodesim" ./cmd/nodesim
-go build -o "$work/solartrace" ./cmd/solartrace
+go build -o "$work/solarsched" ./cmd/solarsched
 
 "$work/nodesim" workload -benchmark wam -o "$work/wam.json"
-"$work/solartrace" gen -days 30 -seed 5 -out "$work/trace.csv"
+"$work/solarsched" trace gen -days 30 -seed 5 -out "$work/trace.csv"
 
 digest() { grep '^metrics digest:' | awk '{print $3}'; }
 

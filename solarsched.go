@@ -41,7 +41,7 @@ import (
 	"io"
 
 	"solarsched/internal/ann"
-	"solarsched/internal/ckpt"
+	"solarsched/internal/atomicio"
 	"solarsched/internal/core"
 	"solarsched/internal/experiments"
 	"solarsched/internal/fault"
@@ -252,7 +252,7 @@ var (
 	ErrConfigMismatch = sim.ErrConfigMismatch
 	// ErrCorruptCheckpoint reports a checkpoint that fails structural or
 	// checksum validation.
-	ErrCorruptCheckpoint = ckpt.ErrCorruptCheckpoint
+	ErrCorruptCheckpoint = atomicio.ErrCorrupt
 )
 
 // ---- Fleet runs ---------------------------------------------------------------
