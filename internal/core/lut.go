@@ -32,6 +32,9 @@ type LUT struct {
 	mEntries *obs.Gauge
 	mSolve   *obs.Timer
 	mExpand  *obs.Counter
+
+	mKernelSlots, mReplaySlots *obs.Counter
+	mRecords                   *obs.Counter
 }
 
 type lutKey struct {
@@ -45,18 +48,14 @@ func NewLUT(pc PlanConfig) *LUT {
 	if err := pc.Validate(); err != nil {
 		panic("core: " + err.Error())
 	}
-	reg := pc.Observer
-	return &LUT{
-		pc:       pc,
-		entries:  make(map[lutKey][]Option),
-		stages:   NewFineStages(pc.Graph, pc.Delta),
-		eval:     newPeriodEval(pc),
-		mHits:    reg.Counter("core_lut_hits_total"),
-		mMisses:  reg.Counter("core_lut_misses_total"),
-		mEntries: reg.Gauge("core_lut_entries"),
-		mSolve:   reg.Timer("core_dp_solve_seconds"),
-		mExpand:  reg.Counter("core_dp_expansions_total"),
+	l := &LUT{
+		pc:      pc,
+		entries: make(map[lutKey][]Option),
+		stages:  NewFineStages(pc.Graph, pc.Delta),
+		eval:    newPeriodEval(pc),
 	}
+	l.resolve(pc.Observer)
+	return l
 }
 
 // Config returns the table's plan configuration.
@@ -66,14 +65,23 @@ func (l *LUT) Config() PlanConfig { return l.pc }
 // is ignored so an engine without an observer does not disable a sink
 // chosen at construction time.
 func (l *LUT) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		return
+	if reg != nil {
+		l.resolve(reg)
 	}
+}
+
+// resolve points the table's instruments at reg (nil disables them). The
+// work counters count periods' slots by the path that settled them —
+// the kernel, or a replay of a recorded trajectory — and the recordings.
+func (l *LUT) resolve(reg *obs.Registry) {
 	l.mHits = reg.Counter("core_lut_hits_total")
 	l.mMisses = reg.Counter("core_lut_misses_total")
 	l.mEntries = reg.Gauge("core_lut_entries")
 	l.mSolve = reg.Timer("core_dp_solve_seconds")
 	l.mExpand = reg.Counter("core_dp_expansions_total")
+	l.mKernelSlots = reg.Counter("core_period_slots_total", obs.L("path", "kernel"))
+	l.mReplaySlots = reg.Counter("core_period_slots_total", obs.L("path", "replay"))
+	l.mRecords = reg.Counter("core_trajectory_records_total")
 }
 
 // ProfileKey quantizes a period's slot powers into the LUT key: a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"solarsched/internal/sim"
@@ -65,8 +66,9 @@ type Option struct {
 }
 
 // periodEval is the reused state behind LUT.PeriodOptions: the graph's
-// closed subsets, enumerated once, and the period runner, capacitor and
-// candidate and Pareto scratch that every entry's evaluation shares.
+// closed subsets, enumerated once, each subset's recorded task trajectory,
+// and the period runner, capacitor and candidate and Pareto scratch that
+// every entry's evaluation shares.
 type periodEval struct {
 	subsets [][]bool
 	runner  *sim.PeriodRunner
@@ -74,15 +76,27 @@ type periodEval struct {
 	cands   []Option
 	best    []Option // per miss count, the highest-FinalV candidate
 	seen    []bool   // per miss count, whether best holds a candidate
+
+	// The trajectories and α of every subset, recorded against powers.
+	// They stay valid while a query's powers are bit-equal to powers: the
+	// DP queries every (capacitor, bucket) entry of a new profile in one
+	// stretch, so one recording serves them all.
+	trajs  []sim.Trajectory
+	alphas []float64
+	powers []float64
+	valid  bool
 }
 
 func newPeriodEval(pc PlanConfig) periodEval {
 	n := pc.Graph.N()
+	subsets := ClosedSubsets(pc.Graph)
 	return periodEval{
-		subsets: ClosedSubsets(pc.Graph),
+		subsets: subsets,
 		runner:  sim.NewPeriodRunner(pc.Graph, pc.Base.SlotSeconds, pc.DirectEff),
 		best:    make([]Option, n+1),
 		seen:    make([]bool, n+1),
+		trajs:   make([]sim.Trajectory, len(subsets)),
+		alphas:  make([]float64, len(subsets)),
 	}
 }
 
@@ -98,6 +112,12 @@ func newPeriodEval(pc PlanConfig) periodEval {
 // by the observation that within a period only the task *set* matters once
 // the fine-grained stage is fixed.
 //
+// Each subset's task side is recorded once per distinct powers and replayed
+// on this entry's capacitor (sim.PeriodRunner.Replay): only the energy
+// physics runs until the first brownout trim, and the kernel finishes the
+// period from there. The result is bit-identical to simulating every subset
+// from scratch.
+//
 // The subsets, the stages, the period runner and the capacitor are the
 // table's own and are reused by every call. So every option's Te is one of
 // the table's subset masks, shared by all its entries and by the Decision.Te
@@ -106,19 +126,17 @@ func newPeriodEval(pc PlanConfig) periodEval {
 // may: copy a mask before changing it.
 func (l *LUT) PeriodOptions(capIdx int, v0 float64, powers []float64) []Option {
 	pc, e := l.pc, &l.eval
-	g := pc.Graph
-	dt := pc.Base.SlotSeconds
-	harvest := 0.0
-	for _, p := range powers {
-		harvest += p
+	if !e.recordedFor(powers) {
+		e.record(l, powers)
 	}
-	harvest *= dt
-
+	e.cap = supercap.Capacitor{C: pc.Capacitances[capIdx], P: pc.Params}
 	cands := e.cands[:0]
-	for _, te := range e.subsets {
-		alpha := Alpha(g, te, harvest)
-		e.cap = supercap.Capacitor{C: pc.Capacitances[capIdx], V: v0, P: pc.Params}
-		out := e.runner.Run(&e.cap, powers, te, l.stages.Pick(alpha))
+	replayed := 0
+	for i, te := range e.subsets {
+		alpha := e.alphas[i]
+		e.cap.V = v0
+		out := e.runner.Replay(&e.trajs[i], &e.cap, powers, te, l.stages.Pick(alpha))
+		replayed += out.Replayed
 		cands = append(cands, Option{
 			Misses:      out.Missed,
 			Te:          te,
@@ -128,7 +146,40 @@ func (l *LUT) PeriodOptions(capIdx int, v0 float64, powers []float64) []Option {
 		})
 	}
 	e.cands = cands
+	l.mReplaySlots.Add(float64(replayed))
+	l.mKernelSlots.Add(float64(len(e.subsets)*len(powers) - replayed))
 	return e.paretoFront(cands)
+}
+
+// recordedFor reports whether the trajectories were recorded against
+// slot powers bit-equal to powers.
+func (e *periodEval) recordedFor(powers []float64) bool {
+	if !e.valid || len(powers) != len(e.powers) {
+		return false
+	}
+	for i, p := range powers {
+		if math.Float64bits(p) != math.Float64bits(e.powers[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// record re-records every subset's trajectory and α against powers.
+func (e *periodEval) record(l *LUT, powers []float64) {
+	g := l.pc.Graph
+	harvest := 0.0
+	for _, p := range powers {
+		harvest += p
+	}
+	harvest *= l.pc.Base.SlotSeconds
+	for i, te := range e.subsets {
+		e.alphas[i] = Alpha(g, te, harvest)
+		e.runner.Record(&e.trajs[i], powers, te, l.stages.Pick(e.alphas[i]))
+	}
+	e.powers = append(e.powers[:0], powers...)
+	e.valid = true
+	l.mRecords.Add(float64(len(e.subsets)))
 }
 
 // paretoFront keeps, for each miss count, the option with the highest

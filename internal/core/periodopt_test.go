@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"solarsched/internal/obs"
 	"solarsched/internal/rng"
 	"solarsched/internal/sched"
 	"solarsched/internal/sim"
@@ -171,22 +172,34 @@ func checkPeriodOptions(t *testing.T, seed uint64, nTasks uint8) {
 	src := rng.New(seed)
 	pc := randomPlanConfig(src, int(nTasks))
 	l := NewLUT(pc)
-	// Several entries on one table: the reused runner, capacitor and
-	// stages must carry nothing from one entry to the next.
-	for e := 0; e < 4; e++ {
-		capIdx := src.Intn(len(pc.Capacitances))
-		v0 := src.Range(pc.Params.VLow, pc.Params.VHigh)
-		switch src.Intn(4) {
-		case 0:
-			v0 = pc.Params.VLow
-		case 1:
-			v0 = pc.Params.VHigh
+	// Several powers vectors on one table, each shared by several entries:
+	// the first entry of a vector records every subset's trajectory, the
+	// rest replay it, whole or up to a mid-period resume, and the next
+	// vector invalidates it. The reused runner, capacitor, stages and
+	// trajectories must carry nothing from one entry to the next.
+	var powers []float64
+	for p := 0; p < 3; p++ {
+		if p < 2 {
+			powers = randomPowers(src, pc)
+		} else {
+			// The last vector rewritten in place, as a caller's reused
+			// buffer would be: the table must compare values, not slices.
+			copy(powers, randomPowers(src, pc))
 		}
-		powers := randomPowers(src, pc)
-		got := l.PeriodOptions(capIdx, v0, powers)
-		want := refPeriodOptions(pc.Capacitances[capIdx], v0, powers, pc)
-		if d := diffOptions(got, want); d != "" {
-			t.Fatalf("entry %d (cap %d, v0 %v): %s", e, capIdx, v0, d)
+		for e := 0; e < 4; e++ {
+			capIdx := src.Intn(len(pc.Capacitances))
+			v0 := src.Range(pc.Params.VLow, pc.Params.VHigh)
+			switch e {
+			case 0:
+				v0 = pc.Params.VLow
+			case 1:
+				v0 = pc.Params.VHigh
+			}
+			got := l.PeriodOptions(capIdx, v0, powers)
+			want := refPeriodOptions(pc.Capacitances[capIdx], v0, powers, pc)
+			if d := diffOptions(got, want); d != "" {
+				t.Fatalf("powers %d entry %d (cap %d, v0 %v): %s", p, e, capIdx, v0, d)
+			}
 		}
 	}
 }
@@ -267,5 +280,60 @@ func TestPeriodRunnerAllocatesNothing(t *testing.T) {
 				t.Errorf("%s α=%v: %v allocs per period", g.Name, alpha, allocs)
 			}
 		}
+	}
+}
+
+// A replay allocates nothing either: not on physics alone, and not when it
+// resumes the kernel mid-period. The empty capacitor makes the dark slots
+// trim and the full one carries most of the period.
+func TestPeriodRunnerReplayAllocatesNothing(t *testing.T) {
+	for _, g := range []*task.Graph{task.ECG(), task.WAM()} {
+		pc, powers := allocConfig(g, 30)
+		stages := NewFineStages(g, pc.Delta)
+		runner := sim.NewPeriodRunner(g, pc.Base.SlotSeconds, pc.DirectEff)
+		cap := supercap.New(10, pc.Params)
+		var tr sim.Trajectory
+		for _, alpha := range []float64{100, 1} {
+			policy := stages.Pick(alpha)
+			runner.Record(&tr, powers, nil, policy)
+			for _, v0 := range []float64{pc.Params.VLow, 2.4, pc.Params.VHigh} {
+				allocs := testing.AllocsPerRun(20, func() {
+					cap.V = v0
+					runner.Replay(&tr, cap, powers, nil, policy)
+				})
+				if allocs != 0 {
+					t.Errorf("%s α=%v v0=%v: %v allocs per replay", g.Name, alpha, v0, allocs)
+				}
+			}
+		}
+	}
+}
+
+// The table's work counters: one recording per subset and powers vector,
+// and every simulated slot counted once, by the kernel or by a replay.
+func TestPeriodOptionsCountsSlotsByPath(t *testing.T) {
+	g := task.ECG()
+	pc, tr := testConfig(g, 1)
+	reg := obs.NewRegistry()
+	pc.Observer = reg
+	l := NewLUT(pc)
+	subsets := float64(len(ClosedSubsets(g)))
+	entries := 0.0
+	for _, p := range []int{10, 24, 40} {
+		powers := tr.PeriodPowers(0, p)
+		for c := range pc.Capacitances {
+			for _, v0 := range []float64{pc.Params.VLow, 2.2, pc.Params.VHigh} {
+				l.PeriodOptions(c, v0, powers)
+				entries++
+			}
+		}
+	}
+	kernel := reg.Counter("core_period_slots_total", obs.L("path", "kernel")).Value()
+	replay := reg.Counter("core_period_slots_total", obs.L("path", "replay")).Value()
+	if records := reg.Counter("core_trajectory_records_total").Value(); records != 3*subsets {
+		t.Errorf("%v recordings, want %v", records, 3*subsets)
+	}
+	if want := entries * subsets * float64(pc.Base.SlotsPerPeriod); kernel+replay != want || kernel == 0 || replay == 0 {
+		t.Errorf("slots: %v kernel + %v replay, want %v in total from both", kernel, replay, want)
 	}
 }

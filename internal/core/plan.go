@@ -43,6 +43,11 @@ func PlanHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 	return res
 }
 
+// energyTie is the DP's terminal reward per voltage bucket: it breaks ties
+// between equal-miss plans toward more stored energy and is smaller than
+// any miss.
+const energyTie = 1e-4
+
 func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, startV float64) PlanResult {
 	pc := l.Config()
 	T := len(powers)
@@ -60,7 +65,6 @@ func planHorizon(l *LUT, powers [][]float64, startPeriodOfDay, startCap int, sta
 		panic(fmt.Sprintf("core: startCap %d out of [0,%d)", startCap, H))
 	}
 
-	const energyTie = 1e-4 // reward per terminal bucket, < any miss
 	idx := func(c, b int) int { return c*B + b }
 
 	// value[t] is the cost-to-go at the start of period t.

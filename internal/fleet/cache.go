@@ -40,7 +40,7 @@ type Cache struct {
 	mHits        *obs.Counter
 	mMisses      *obs.Counter
 	mEntries     *obs.Gauge
-	mBuild       *obs.Timer
+	reg          *obs.Registry // resolves the per-kind build timers
 	mWarmHits    *obs.Counter
 	mColdBuilds  *obs.Counter
 	mPersistErrs *obs.Counter
@@ -60,7 +60,7 @@ func NewCache(reg *obs.Registry) *Cache {
 		mHits:    reg.Counter("fleet_cache_hits_total"),
 		mMisses:  reg.Counter("fleet_cache_misses_total"),
 		mEntries: reg.Gauge("fleet_cache_entries"),
-		mBuild:   reg.Timer("fleet_cache_build_seconds"),
+		reg:      reg,
 	}
 }
 
@@ -117,7 +117,7 @@ func (c *Cache) Do(ctx context.Context, key string, build func() (any, error)) (
 		}
 	}
 
-	sw := c.mBuild.Start()
+	sw := c.reg.Timer("fleet_cache_build_seconds", obs.L("kind", kindOf(key))).Start()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -56,6 +56,26 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCacheBuildTimeByKind: every build is timed under its artifact kind,
+// so a cold fleet's build time splits by offline stage; hits time nothing.
+func TestCacheBuildTimeByKind(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache(reg)
+	for _, key := range []string{"sizing:a", "sizing:b", "samples:a", "sizing:a"} {
+		if _, err := c.Do(context.Background(), key, func() (any, error) { return key, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for kind, want := range map[string]uint64{"sizing": 2, "samples": 1, "dbn": 0} {
+		if n := reg.Timer("fleet_cache_build_seconds", obs.L("kind", kind)).Count(); n != want {
+			t.Errorf("kind %s: %d builds timed, want %d", kind, n, want)
+		}
+	}
+	if n := reg.Timer("fleet_cache_build_seconds").Count(); n != 0 {
+		t.Errorf("%d builds timed without a kind", n)
+	}
+}
+
 // TestCacheErrorCached: a deterministic failure is cached like a success —
 // the build must not rerun.
 func TestCacheErrorCached(t *testing.T) {

@@ -30,3 +30,17 @@ func (s *Set) Restore(st State) error {
 	copy(s.missed, st.Missed)
 	return nil
 }
+
+// SaveTo copies the execution state into caller-owned scratch of length N
+// each: the non-allocating form of State, for planners that checkpoint a
+// period at every slot.
+func (s *Set) SaveTo(remaining []float64, missed []bool) {
+	copy(remaining, s.remaining)
+	copy(missed, s.missed)
+}
+
+// RestoreFrom overwrites the execution state with one saved by SaveTo.
+func (s *Set) RestoreFrom(remaining []float64, missed []bool) {
+	copy(s.remaining, remaining)
+	copy(s.missed, missed)
+}

@@ -38,7 +38,9 @@ type slotKernel struct {
 }
 
 // stepSlot executes one powered slot (slot is its index in the period).
-// In order, it:
+// Its task half is the policy's order masked and filtered (candidates),
+// the run and the deadline check; its energy half is the brownout trim,
+// the settlement and the leak. In order, it:
 //  1. masks the priority-ordered candidate list with the period's allowed set;
 //  2. filters it for readiness and NVP exclusivity;
 //  3. asks the SpeedScheduler, if any, for one speed per survivor;
@@ -53,31 +55,14 @@ type slotKernel struct {
 // sv is only handed to the SpeedScheduler. It mutates the bank and the
 // task set.
 func (k *slotKernel) stepSlot(sv *SlotView, order []int, solarW float64, slot int) SlotStats {
-	if k.allowed != nil {
-		order = k.filterAllowed(order)
-	}
-	run := k.ts.FilterRunnable(order)
+	run := k.candidates(order)
 	runnable := len(run)
 	var speeds []float64
 	if k.speeds != nil {
 		speeds = k.clampedSpeeds(k.speeds.Speeds(sv, run), len(run))
 	}
 	cap := k.bank.Active()
-	directCap := solarW * k.directEff // W available at the load via direct channel
-	for len(run) > 0 {
-		load := 0.0
-		for i, n := range run {
-			p := k.ts.G.Tasks[n].Power
-			if speeds != nil {
-				f := speeds[i]
-				p = p * f * f * f
-			}
-			load += p
-		}
-		deficit := (load - directCap) * k.dt
-		if deficit <= cap.Deliverable()+1e-12 {
-			break
-		}
+	for len(run) > 0 && !k.carries(cap, k.load(run, speeds), solarW) {
 		run = run[:len(run)-1]
 	}
 	if speeds != nil {
@@ -88,6 +73,39 @@ func (k *slotKernel) stepSlot(sv *SlotView, order []int, solarW float64, slot in
 	settleEnergy(cap, &st, solarW, k.dt, k.directEff)
 	st.Leaked = k.endSlot(slot)
 	return st
+}
+
+// candidates is steps 1–2 of stepSlot: the order masked with the allowed
+// set, then filtered for readiness and NVP exclusivity. The result is the
+// task set's scratch.
+func (k *slotKernel) candidates(order []int) []int {
+	if k.allowed != nil {
+		order = k.filterAllowed(order)
+	}
+	return k.ts.FilterRunnable(order)
+}
+
+// load is the power (W) the run list draws at the given speeds (nil = full
+// speed), summed in list order.
+func (k *slotKernel) load(run []int, speeds []float64) float64 {
+	load := 0.0
+	for i, n := range run {
+		p := k.ts.G.Tasks[n].Power
+		if speeds != nil {
+			f := speeds[i]
+			p = p * f * f * f
+		}
+		load += p
+	}
+	return load
+}
+
+// carries is the brownout test: whether the direct channel plus cap can
+// carry a load of loadW watts over one slot of solarW input.
+func (k *slotKernel) carries(cap *supercap.Capacitor, loadW, solarW float64) bool {
+	directCap := solarW * k.directEff // W available at the load via direct channel
+	deficit := (loadW - directCap) * k.dt
+	return deficit <= cap.Deliverable()+1e-12
 }
 
 // endSlot applies the wall-clock physics every slot ends with, powered or

@@ -386,3 +386,87 @@ func TestExecSlotStoresSurplus(t *testing.T) {
 		t.Fatal("capacitor did not gain energy")
 	}
 }
+
+// replayCaps is the capacitor sweep a recording is replayed on: random
+// sizes at voltages from below cut-off through empty and full, so a replay
+// resumes the kernel at every slot a trim can first appear in, or never.
+func replayCaps(src *rng.Source, p supercap.Params) []*supercap.Capacitor {
+	var caps []*supercap.Capacitor
+	for i := 0; i < 40; i++ {
+		c := supercap.New(src.Range(0.5, 50), p)
+		switch i {
+		case 0:
+			c.V = 0
+		case 1: // c.V = p.VLow, empty
+		case 2:
+			c.V = p.VHigh
+		default:
+			c.V = p.VLow + (p.VHigh-p.VLow)*float64(i-3)/36
+		}
+		caps = append(caps, c)
+	}
+	return caps
+}
+
+// checkReplay records the case's period once, then replays it on the
+// capacitor sweep and holds every replay to a fresh Run bit for bit. It
+// returns the slot each replay resumed the kernel at (the slot count for a
+// whole-period replay).
+func checkReplay(t *testing.T, c kernelCase, seed uint64) []int {
+	t.Helper()
+	policy := func(v *SlotView) []int { return c.orders[v.Slot] }
+	r := NewPeriodRunner(c.g, kernelDt, kernelEff)
+	var tr Trajectory
+	r.Record(&tr, c.powers, c.allowed, policy)
+	var resumes []int
+	for i, cp := range replayCaps(rng.New(seed), c.bank.Active().P) {
+		rc := cp.Clone()
+		want := r.Run(rc, c.powers, c.allowed, policy)
+		wantExec := slices.Clone(want.Executed)
+		got := r.Replay(&tr, cp, c.powers, c.allowed, policy)
+		if got.Missed != want.Missed || !slices.Equal(got.Executed, wantExec) ||
+			!sameBits(got.CapConsumed, want.CapConsumed) || !sameBits(got.FinalV, want.FinalV) ||
+			!sameBits(got.Delivered, want.Delivered) || !sameBits(got.Harvested, want.Harvested) ||
+			!sameBits(cp.V, rc.V) {
+			t.Fatalf("cap %d (C %v): replay %+v (resumed at %d), Run %+v", i, cp.C, got, got.Replayed, want)
+		}
+		resumes = append(resumes, got.Replayed)
+	}
+	return resumes
+}
+
+// FuzzPeriodRunnerReplay records a random period once and checks its
+// replays on many capacitors against a fresh Run of the kernel bit for bit:
+// misses, executed set, consumed and delivered energy and final voltage,
+// whichever slot the replay resumes the kernel at.
+func FuzzPeriodRunnerReplay(f *testing.F) {
+	for seed := uint64(0); seed < 64; seed++ {
+		f.Add(seed, uint8(seed*7), seed%5 < 2)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nTasks uint8, masked bool) {
+		checkReplay(t, newKernelCase(seed, nTasks, false, masked), seed)
+	})
+}
+
+// The replay corpus must take every path: whole periods on physics alone,
+// a resume at the first slot and resumes mid-period.
+func TestPeriodRunnerReplayCoversEveryPath(t *testing.T) {
+	whole, first, mid := 0, 0, 0
+	for seed := uint64(0); seed < 64; seed++ {
+		c := newKernelCase(seed, uint8(seed*7), false, seed%5 < 2)
+		for _, s := range checkReplay(t, c, seed) {
+			switch {
+			case s == len(c.powers):
+				whole++
+			case s == 0:
+				first++
+			default:
+				mid++
+			}
+		}
+	}
+	if whole == 0 || first == 0 || mid == 0 {
+		t.Fatalf("replays: %d whole, %d resumed at slot 0, %d mid-period", whole, first, mid)
+	}
+	t.Logf("replays: %d whole, %d resumed at slot 0, %d mid-period", whole, first, mid)
+}

@@ -64,25 +64,25 @@ func (p Params) Validate() error {
 
 // EtaChr is the input-regulator efficiency at capacitor voltage v (Fig. 5,
 // rising with voltage: boosting into a nearly-empty capacitor is expensive).
-func (p Params) EtaChr(v float64) float64 {
+func (p *Params) EtaChr(v float64) float64 {
 	return clamp01(p.ChrMax - p.ChrDrop*math.Exp(-p.ChrRate*(v-p.VLow)))
 }
 
 // EtaDis is the output-regulator efficiency at capacitor voltage v (Fig. 5).
-func (p Params) EtaDis(v float64) float64 {
+func (p *Params) EtaDis(v float64) float64 {
 	return clamp01(p.DisMax - p.DisDrop*math.Exp(-p.DisRate*(v-p.VLow)))
 }
 
 // EtaCycle is the average storage-cycle efficiency of a capacitor of c
 // farads ([12]; larger capacitors have slightly higher equivalent series
 // loss per stored joule).
-func (p Params) EtaCycle(c float64) float64 {
+func (p *Params) EtaCycle(c float64) float64 {
 	return clamp01(p.CycleBase - p.CycleLog*math.Log(1+c))
 }
 
 // LeakPower is the self-discharge power (W) of a capacitor of c farads at
 // voltage v.
-func (p Params) LeakPower(v, c float64) float64 {
+func (p *Params) LeakPower(v, c float64) float64 {
 	if v <= 0 {
 		return 0
 	}
@@ -107,6 +107,27 @@ type Capacitor struct {
 	C float64 // capacitance in farads
 	V float64 // current voltage
 	P Params
+
+	cycle cycleMemo
+}
+
+// cycleMemo holds η_cycle for the (C, CycleBase, CycleLog) it was evaluated
+// at. η_cycle is a pure function of those three, so the slot-level energy
+// updates pay its logarithm once per capacitor instead of once per call,
+// and a change to any key (aging, Restore, a direct field write) simply
+// re-evaluates it.
+type cycleMemo struct {
+	c, base, log, eta float64
+	ok                bool
+}
+
+// etaCycle returns P.EtaCycle(C), the same float64, from the memo.
+func (s *Capacitor) etaCycle() float64 {
+	m := &s.cycle
+	if !m.ok || m.c != s.C || m.base != s.P.CycleBase || m.log != s.P.CycleLog {
+		*m = cycleMemo{c: s.C, base: s.P.CycleBase, log: s.P.CycleLog, eta: s.P.EtaCycle(s.C), ok: true}
+	}
+	return m.eta
 }
 
 // New returns a capacitor of c farads at the cut-off voltage (empty of
@@ -154,7 +175,7 @@ func (s *Capacitor) Charge(e float64) (stored float64) {
 	if e <= 0 || s.V >= s.P.VHigh {
 		return 0
 	}
-	eta := s.P.EtaChr(s.V) * s.P.EtaCycle(s.C)
+	eta := s.P.EtaChr(s.V) * s.etaCycle()
 	stored = e * eta
 	room := 0.5*s.C*s.P.VHigh*s.P.VHigh - s.Energy()
 	if stored > room {
@@ -172,7 +193,7 @@ func (s *Capacitor) Discharge(e float64) (delivered float64) {
 	if e <= 0 || s.V <= s.P.VLow {
 		return 0
 	}
-	eta := s.P.EtaDis(s.V) * s.P.EtaCycle(s.C)
+	eta := s.P.EtaDis(s.V) * s.etaCycle()
 	deliverable := s.UsableEnergy() * eta
 	if e > deliverable {
 		e = deliverable
@@ -185,7 +206,7 @@ func (s *Capacitor) Discharge(e float64) (delivered float64) {
 // right now, i.e. usable energy through the output path at the current
 // voltage. This is what schedulers consult before committing load.
 func (s *Capacitor) Deliverable() float64 {
-	return s.UsableEnergy() * s.P.EtaDis(s.V) * s.P.EtaCycle(s.C)
+	return s.UsableEnergy() * s.P.EtaDis(s.V) * s.etaCycle()
 }
 
 // Leak applies self-discharge over dt seconds (the P_leak·Δt term of

@@ -275,3 +275,31 @@ func TestBankCloneIndependent(t *testing.T) {
 		t.Fatal("Clone shares capacitor state")
 	}
 }
+
+// The memoized η_cycle is the formula's float64 at every point of a
+// capacitor's life: after construction, aging (which fades C), a Restore
+// onto other parameters, and a direct write of C.
+func TestEtaCycleMemoTracksCapacitance(t *testing.T) {
+	p := DefaultParams()
+	c := New(10, p)
+	c.V = 2.4
+	check := func(when string) {
+		t.Helper()
+		want := c.UsableEnergy() * c.P.EtaDis(c.V) * c.P.EtaCycle(c.C)
+		if got := c.Deliverable(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Deliverable %v, formula %v", when, got, want)
+		}
+	}
+	check("new")
+	c.Age(Aging{CapFade: 0.2, LeakGrowth: 0.1, EffFade: 0.1})
+	check("aged")
+	q := p
+	q.CycleBase, q.CycleLog = 0.95, 0.02
+	c.Restore(CapacitorState{C: 3, V: 2, P: q})
+	check("restored")
+	c.C = 40
+	check("written")
+	if a := testing.AllocsPerRun(10, func() { c.Deliverable() }); a != 0 {
+		t.Fatalf("Deliverable: %v allocs", a)
+	}
+}
