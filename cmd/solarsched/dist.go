@@ -11,54 +11,41 @@ import (
 	"os/exec"
 	"time"
 
-	"solarsched/internal/cli"
 	"solarsched/internal/dist"
 	"solarsched/internal/fleet"
 	"solarsched/internal/obs"
 )
 
-// distConfig carries the distributed-mode flags into coordinateFleet.
-type distConfig struct {
-	dir            string
-	forkWorkers    int
-	leaseTTL       time.Duration
-	stragglerAfter time.Duration
-	heartbeat      time.Duration
-	retryAttempts  int
-}
-
 // runFleetWorker is the `fleet -worker` body: one worker process
-// serving the coordinator directory. Exits 0 when the batch ends, 130
-// on SIGINT/SIGTERM (after handing any in-flight claim back).
-func runFleetWorker(ctx context.Context, logger *slog.Logger, reg *obs.Registry, dir string, heartbeat time.Duration) int {
+// serving the coordinator directory inside the session s, which it
+// closes. Returns nil when the batch ends and the cancellation (exit
+// 130) on SIGINT/SIGTERM, after handing any in-flight claim back.
+func runFleetWorker(ctx context.Context, s *obs.Session, dir string, heartbeat time.Duration) (err error) {
+	defer s.Close(&err)
 	status, err := dist.RunWorker(ctx, dist.WorkerOptions{
 		Dir:       dir,
-		Registry:  reg,
-		Logger:    logger,
+		Registry:  s.Reg,
+		Logger:    s.Logger,
 		Heartbeat: heartbeat,
 	})
-	logger.Info("worker finished", "id", status.ID, "claims", status.Claims,
+	s.Logger.Info("worker finished", "id", status.ID, "claims", status.Claims,
 		"results", status.Results, "errors", status.Errors, "requeues", status.Requeues)
-	if err != nil {
-		logger.Error("worker failed", "err", err)
-		return cli.ExitCode(err)
-	}
-	return 0
+	return err
 }
 
-// coordinateFleet forks cfg.forkWorkers local `solarsched fleet -worker`
+// coordinateFleet forks cfg.workers local `solarsched fleet -worker`
 // processes (zero is valid: external workers — solarschedd -worker — or
 // the coordinator's local fallback carry the batch) and supervises the
 // batch to completion.
-func coordinateFleet(ctx context.Context, logger *slog.Logger, reg *obs.Registry, spec *fleet.FileSpec, cfg distConfig) (*fleet.Report, error) {
+func coordinateFleet(ctx context.Context, logger *slog.Logger, reg *obs.Registry, spec *fleet.FileSpec, cfg fleetFlags) (*fleet.Report, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
 	var children []*exec.Cmd
-	for i := 0; i < cfg.forkWorkers; i++ {
+	for i := 0; i < cfg.workers; i++ {
 		cmd := exec.Command(exe, "fleet", "-worker",
-			"-coordinator-dir", cfg.dir,
+			"-coordinator-dir", cfg.coordDir,
 			"-heartbeat", cfg.heartbeat.String())
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -70,7 +57,7 @@ func coordinateFleet(ctx context.Context, logger *slog.Logger, reg *obs.Registry
 	}
 
 	rep, runErr := dist.Coordinate(ctx, spec, dist.Options{
-		Dir:            cfg.dir,
+		Dir:            cfg.coordDir,
 		Registry:       reg,
 		Logger:         logger,
 		LeaseTTL:       cfg.leaseTTL,

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -54,18 +55,19 @@ import (
 // flag.Parse so its flag set stays independent of the experiment flags.
 func runFleet(args []string) int {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	workers := fs.Int("workers", 0, "worker-pool size (default GOMAXPROCS)")
-	csvPath := fs.String("csv", "", "write the per-run report as CSV to this file")
-	jsonPath := fs.String("json", "", "write the full JSON report to this file")
-	digestOnly := fs.Bool("digest", false, "print only the aggregate digest")
+	var f fleetFlags
+	fs.IntVar(&f.workers, "workers", 0, "worker-pool size (default GOMAXPROCS)")
+	fs.StringVar(&f.csvPath, "csv", "", "write the per-run report as CSV to this file")
+	fs.StringVar(&f.jsonPath, "json", "", "write the full JSON report to this file")
+	fs.BoolVar(&f.digestOnly, "digest", false, "print only the aggregate digest")
 	quiet := fs.Bool("quiet", false, "suppress the table; errors still reach stderr")
-	storeDir := fs.String("store-dir", "", "durable artifact store: reuse offline artifacts across invocations")
-	retryAttempts := fs.Int("retry-attempts", 1, "attempts per run; transient failures retry with backoff")
-	coordDir := fs.String("coordinator-dir", "", "distributed mode: shared coordinator directory")
+	fs.StringVar(&f.storeDir, "store-dir", "", "durable artifact store: reuse offline artifacts across invocations")
+	fs.IntVar(&f.retryAttempts, "retry-attempts", 1, "attempts per run; transient failures retry with backoff")
+	fs.StringVar(&f.coordDir, "coordinator-dir", "", "distributed mode: shared coordinator directory")
 	workerMode := fs.Bool("worker", false, "run as a distributed worker serving -coordinator-dir")
-	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "coordinator: reclaim claimed items after this heartbeat silence")
-	stragglerAfter := fs.Duration("straggler-after", 0, "coordinator: speculatively re-issue items claimed longer than this (0 = off)")
-	heartbeat := fs.Duration("heartbeat", time.Second, "worker: lease-touch cadence")
+	fs.DurationVar(&f.leaseTTL, "lease-ttl", 10*time.Second, "coordinator: reclaim claimed items after this heartbeat silence")
+	fs.DurationVar(&f.stragglerAfter, "straggler-after", 0, "coordinator: speculatively re-issue items claimed longer than this (0 = off)")
+	fs.DurationVar(&f.heartbeat, "heartbeat", time.Second, "worker: lease-touch cadence")
 	var of obs.Flags
 	of.Register(fs)
 	fs.Usage = func() {
@@ -77,7 +79,7 @@ func runFleet(args []string) int {
 		return 2
 	}
 	if *workerMode {
-		if *coordDir == "" || fs.NArg() != 0 {
+		if f.coordDir == "" || fs.NArg() != 0 {
 			fs.Usage()
 			return 2
 		}
@@ -86,74 +88,71 @@ func runFleet(args []string) int {
 		return 2
 	}
 
-	logger, err := of.Logger(*quiet || *digestOnly)
+	s, err := of.Open(*quiet || f.digestOnly)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "solarsched: fleet: %v\n", err)
-		return 2
+		return openFailed("solarsched: fleet", err)
 	}
 	ctx, cancel := cli.SignalContext()
 	defer cancel()
-	var reg *obs.Registry
-	if of.Metrics {
-		reg = obs.Default()
-	}
-	stop, err := of.Start()
-	if err != nil {
-		logger.Error("profile setup failed", "err", err)
-		return 1
-	}
-
 	if *workerMode {
-		return runFleetWorker(ctx, logger, reg, *coordDir, *heartbeat)
+		err = runFleetWorker(ctx, s, f.coordDir, f.heartbeat)
+	} else {
+		err = fleetMain(ctx, s, fs.Arg(0), f)
 	}
-
-	diag := io.Writer(os.Stdout)
-	if *quiet || *digestOnly {
-		diag = io.Discard
+	if err != nil {
+		s.Logger.Error("fleet failed", "err", err)
 	}
+	return cli.ExitCode(err)
+}
 
+// fleetFlags holds the fleet flags past parsing. workers is the pool
+// size, or under -coordinator-dir the number of local worker processes
+// to fork.
+type fleetFlags struct {
+	workers, retryAttempts                int
+	csvPath, jsonPath, storeDir, coordDir string
+	digestOnly                            bool
+	leaseTTL, stragglerAfter, heartbeat   time.Duration
+}
+
+// fleetMain runs the batch of specPath — in-process, or across worker
+// processes under -coordinator-dir — inside the session s, renders and
+// persists its report, and closes s.
+func fleetMain(ctx context.Context, s *obs.Session, specPath string, cfg fleetFlags) (err error) {
+	defer s.Close(&err)
+	logger, reg := s.Logger, s.Reg
 	var (
 		rep     *fleet.Report
 		runErr  error
 		durable *fleet.Cache
 	)
-	if *coordDir != "" {
-		spec, err := fleet.LoadFileSpec(fs.Arg(0))
+	if cfg.coordDir != "" {
+		spec, err := fleet.LoadFileSpec(specPath)
 		if err != nil {
-			logger.Error("loading spec failed", "path", fs.Arg(0), "err", err)
-			return 1
+			return fmt.Errorf("loading spec %s: %w", specPath, err)
 		}
 		logger.Info("distributed fleet starting", "runs", len(spec.Runs),
-			"spec", fs.Arg(0), "dir", *coordDir, "forked_workers", *workers)
-		rep, runErr = coordinateFleet(ctx, logger, reg, spec, distConfig{
-			dir:            *coordDir,
-			forkWorkers:    *workers,
-			leaseTTL:       *leaseTTL,
-			stragglerAfter: *stragglerAfter,
-			heartbeat:      *heartbeat,
-			retryAttempts:  *retryAttempts,
-		})
+			"spec", specPath, "dir", cfg.coordDir, "forked_workers", cfg.workers)
+		rep, runErr = coordinateFleet(ctx, logger, reg, spec, cfg)
 	} else {
-		specs, err := fleet.LoadSpecFile(fs.Arg(0), reg)
+		specs, err := fleet.LoadSpecFile(specPath, reg)
 		if err != nil {
-			logger.Error("loading spec failed", "path", fs.Arg(0), "err", err)
-			return 1
+			return fmt.Errorf("loading spec %s: %w", specPath, err)
 		}
-		logger.Info("fleet starting", "runs", len(specs), "spec", fs.Arg(0))
+		logger.Info("fleet starting", "runs", len(specs), "spec", specPath)
 
 		opts := fleet.Options{
-			Workers:  *workers,
+			Workers:  cfg.workers,
 			Observer: reg,
-			Retry:    fleet.RetryPolicy{MaxAttempts: *retryAttempts, JitterSeed: uint64(os.Getpid())},
+			Retry:    fleet.RetryPolicy{MaxAttempts: cfg.retryAttempts, JitterSeed: uint64(os.Getpid())},
 		}
-		if *storeDir != "" {
-			st, err := store.Open(*storeDir, store.Options{Registry: reg})
+		if cfg.storeDir != "" {
+			st, err := store.Open(cfg.storeDir, store.Options{Registry: reg})
 			if err != nil {
-				logger.Error("opening store failed", "dir", *storeDir, "err", err)
-				return 1
+				return fmt.Errorf("opening store %s: %w", cfg.storeDir, err)
 			}
 			if vs, err := st.Verify(); err == nil {
-				logger.Info("store opened", "dir", *storeDir,
+				logger.Info("store opened", "dir", cfg.storeDir,
 					"adopted", vs.Adopted, "quarantined", vs.Quarantined)
 			}
 			durable = fleet.NewDurableCache(reg, st)
@@ -164,51 +163,43 @@ func runFleet(args []string) int {
 	// A canceled fleet still returns the partial report; render and persist
 	// what completed before mapping the error onto the exit status.
 	if rep != nil {
-		rep.Table().Render(diag)
-		if *digestOnly {
+		rep.Table().Render(s.Diag)
+		if cfg.digestOnly {
 			fmt.Fprintln(os.Stdout, rep.AggregateDigest())
 		} else {
-			fmt.Fprintf(diag, "  aggregate digest: %s\n", rep.AggregateDigest())
-			fmt.Fprintf(diag, "  cache: %d hits, %d misses (%.1f%% hit rate)\n",
+			fmt.Fprintf(s.Diag, "  aggregate digest: %s\n", rep.AggregateDigest())
+			fmt.Fprintf(s.Diag, "  cache: %d hits, %d misses (%.1f%% hit rate)\n",
 				rep.CacheHits, rep.CacheMisses, 100*rep.HitRate())
 			if durable != nil {
 				w, cold := durable.WarmStats()
-				fmt.Fprintf(diag, "  store: %d warm hits, %d cold builds (%.1f%% warm)\n",
+				fmt.Fprintf(s.Diag, "  store: %d warm hits, %d cold builds (%.1f%% warm)\n",
 					w, cold, 100*durable.WarmHitRate())
 			}
 		}
-		if *csvPath != "" {
-			if err := writeReport(*csvPath, rep.WriteCSV); err != nil {
-				logger.Error("writing csv failed", "path", *csvPath, "err", err)
-				return 1
+		if cfg.csvPath != "" {
+			if err := writeReport(cfg.csvPath, rep.WriteCSV); err != nil {
+				return fmt.Errorf("writing csv %s: %w", cfg.csvPath, err)
 			}
 		}
-		if *jsonPath != "" {
-			if err := writeReport(*jsonPath, rep.WriteJSON); err != nil {
-				logger.Error("writing json failed", "path", *jsonPath, "err", err)
-				return 1
+		if cfg.jsonPath != "" {
+			if err := writeReport(cfg.jsonPath, rep.WriteJSON); err != nil {
+				return fmt.Errorf("writing json %s: %w", cfg.jsonPath, err)
 			}
 		}
-	}
-	if err := stopAndEmit(stop, &of); err != nil {
-		logger.Error("metrics emit failed", "err", err)
-		return 1
 	}
 	if runErr != nil {
-		logger.Error("fleet failed", "err", runErr)
-		return cli.ExitCode(runErr)
+		return runErr
 	}
-	if err := rep.FirstErr(); err != nil {
+	if rep.FirstErr() != nil {
 		failed := rep.FailedIndices()
-		logger.Error("runs failed", "failed", len(failed), "total", len(rep.Results),
-			"spec_indices", formatIndices(failed))
 		for _, i := range failed {
 			logger.Error("run failed", "index", i, "run_id", rep.Results[i].ID,
 				"err", rep.Results[i].Err)
 		}
-		return 1
+		return fmt.Errorf("%d of %d runs failed (spec indices %s)",
+			len(failed), len(rep.Results), formatIndices(failed))
 	}
-	return 0
+	return nil
 }
 
 // formatIndices renders spec indices as a comma-separated list.

@@ -6,7 +6,11 @@
 //
 //	solarsched [flags] <experiment>...
 //
-// Experiments: fig5 fig7 table2 fig8 fig9 fig10a fig10b overhead all
+// Experiments are listed once, in the table of experiment.go; `all` and
+// `ablations` expand to their groups.
+//
+// The node subcommand (solarsched node workload|size|train|run) runs the
+// simulated sensor node on user-supplied workloads; see node.go.
 //
 // The fleet subcommand (solarsched fleet <spec.json>) runs a batch of
 // simulations on the internal/fleet worker pool with a shared offline
@@ -35,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -46,9 +49,7 @@ import (
 	"solarsched/internal/cli"
 	"solarsched/internal/experiments"
 	"solarsched/internal/obs"
-	"solarsched/internal/sim"
 	"solarsched/internal/stats"
-	"solarsched/internal/task"
 )
 
 func main() {
@@ -63,6 +64,8 @@ func run() int {
 	// flag.Parse so they never collide.
 	if len(os.Args) > 1 {
 		switch args := os.Args[2:]; os.Args[1] {
+		case "node":
+			return runNode(args)
 		case "fleet":
 			return runFleet(args)
 		case "bench":
@@ -93,80 +96,58 @@ func run() int {
 		usage()
 		return 2
 	}
-	logger, err := of.Logger(*quiet)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "solarsched: %v\n", err)
-		return 2
-	}
-	ctx, cancel := cli.SignalContext()
-	defer cancel()
-	diag := io.Writer(os.Stdout)
-	if *quiet {
-		diag = io.Discard
-	}
-	if of.Metrics {
-		experiments.Observer = obs.Default()
-	}
-	stop, err := of.Start()
-	if err != nil {
-		logger.Error("profile setup failed", "err", err)
-		return 1
-	}
-	cfg := experiments.Default()
+	a := expArgs{cfg: experiments.Default(), benchFilter: *benchFilter, faultSeed: *faultSeed}
 	if *quick {
-		cfg = experiments.Quick()
+		a.cfg = experiments.Quick()
 	}
 	faultGrid, err := parseGrid(*faultGridStr)
 	if err != nil {
-		logger.Error("bad fault grid", "err", err)
+		fmt.Fprintf(os.Stderr, "solarsched: %v\n", err)
 		return 1
 	}
-
-	var wanted []string
-	for _, arg := range flag.Args() {
-		switch arg {
-		case "all":
-			wanted = append(wanted, "fig5", "fig7", "table2", "fig8", "fig9",
-				"fig10a", "fig10b", "overhead")
-		case "ablations":
-			wanted = append(wanted, "ablation-thresholds", "ablation-ann",
-				"ablation-guards", "ablation-predictor", "ablation-dvfs")
-		default:
-			wanted = append(wanted, arg)
-		}
+	a.faultGrid = faultGrid
+	s, err := of.Open(*quiet)
+	if err != nil {
+		return openFailed("solarsched", err)
 	}
-	for _, name := range wanted {
-		start := time.Now()
-		span := experiments.Observer.StartSpan("experiments/" + name)
-		tbl, err := dispatch(ctx, name, cfg, *benchFilter, faultGrid, *faultSeed)
-		span.End()
-		if err != nil {
-			logger.Error("experiment failed", "experiment", name, "err", err)
-			if errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled) {
-				stopAndEmit(stop, &of) // flush what the finished experiments gathered
-			}
-			return cli.ExitCode(err)
-		}
-		tbl.Render(diag)
-		if *plot {
-			renderPlot(ctx, diag, name, cfg)
-		}
-		fmt.Fprintf(diag, "  (%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, name, tbl); err != nil {
-				logger.Error("writing csv failed", "experiment", name, "err", err)
-				return 1
-			}
-		}
+	ctx, cancel := cli.SignalContext()
+	defer cancel()
+	err = runExperiments(ctx, s, table, flag.Args(), a, *plot, *csvDir)
+	if err != nil {
+		s.Logger.Error("experiments failed", "err", err)
 	}
-	if err := stopAndEmit(stop, &of); err != nil {
-		logger.Error("metrics emit failed", "err", err)
-		return 1
-	}
-	return 0
+	return cli.ExitCode(err)
 }
 
-// runVerbs runs the verb args[0] of a tool subcommand (cap, trace),
+// runExperiments runs the named experiments (groups expanded) in order
+// inside the session s, rendering each table — and its chart under plot —
+// to s.Diag and, with csvDir, to DIR/<name>.csv. It closes s.
+func runExperiments(ctx context.Context, s *obs.Session, tbl expTable, names []string, a expArgs, plot bool, csvDir string) (err error) {
+	defer s.Close(&err)
+	experiments.Observer = s.Reg
+	for _, name := range tbl.expand(names) {
+		start := time.Now()
+		span := experiments.Observer.StartSpan("experiments/" + name)
+		t, chart, err := tbl.dispatch(ctx, name, a)
+		span.End()
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", name, err)
+		}
+		t.Render(s.Diag)
+		if plot && chart != nil {
+			chart.Render(s.Diag)
+		}
+		fmt.Fprintf(s.Diag, "  (%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		if csvDir != "" {
+			if err := writeCSV(csvDir, name, t); err != nil {
+				return fmt.Errorf("writing csv for %s: %w", name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// runVerbs runs the verb args[0] of a tool subcommand (node, cap, trace),
 // printing usage for a missing or unknown verb.
 func runVerbs(name, usage string, args []string, verbs map[string]func([]string) error) int {
 	if len(args) == 0 || verbs[args[0]] == nil {
@@ -181,114 +162,15 @@ func runVerbs(name, usage string, args []string, verbs map[string]func([]string)
 	return 0
 }
 
-// stopAndEmit finishes the observability session: stop the profiles, then
-// emit the metrics. The first error wins but both always run.
-func stopAndEmit(stop func() error, of *obs.Flags) error {
-	err := stop()
-	if e := of.Emit(os.Stdout, obs.Default()); err == nil {
-		err = e
+// openFailed reports an observability session that could not open and
+// returns the exit status: 2 for a bad -log-format, as for any other bad
+// flag, and 1 otherwise (a profile file that cannot be created).
+func openFailed(cmd string, err error) int {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+	if errors.Is(err, obs.ErrLogFormat) {
+		return 2
 	}
-	return err
-}
-
-func dispatch(ctx context.Context, name string, cfg experiments.Config, benchFilter string, faultGrid []float64, faultSeed uint64) (*stats.Table, error) {
-	switch name {
-	case "fig5":
-		t, _ := experiments.Fig5()
-		return t, nil
-	case "fig7":
-		t, _ := experiments.Fig7()
-		return t, nil
-	case "table2":
-		t, res := experiments.Table2()
-		t.AddRow("avg err", stats.Pct(res.AvgError), "", "", "max spread", stats.Pct(res.MaxSpread), "")
-		return t, nil
-	case "fig8":
-		benchmarks, err := selectBenchmarks(benchFilter)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := experiments.Fig8(ctx, cfg, benchmarks)
-		return t, err
-	case "fig9":
-		t, _, err := experiments.Fig9(ctx, cfg)
-		return t, err
-	case "fig10a":
-		t, _, err := experiments.Fig10a(ctx, cfg)
-		return t, err
-	case "fig10b":
-		t, _, err := experiments.Fig10b(ctx, cfg)
-		return t, err
-	case "overhead":
-		t, _ := experiments.Overhead(cfg)
-		return t, nil
-	case "ablation-thresholds":
-		return experiments.AblationThresholds(ctx, cfg)
-	case "ablation-ann":
-		return experiments.AblationANN(ctx, cfg)
-	case "ablation-guards":
-		return experiments.AblationGuards(ctx, cfg)
-	case "ablation-predictor":
-		return experiments.AblationPredictor(ctx, cfg)
-	case "ablation-dvfs":
-		return experiments.AblationDVFS(ctx, cfg)
-	case "robustness":
-		t, _, err := experiments.Robustness(ctx, cfg, 10)
-		return t, err
-	case "faultsweep":
-		t, _, err := experiments.FaultSweep(ctx, cfg, faultGrid, faultSeed)
-		return t, err
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", name)
-	}
-}
-
-// renderPlot draws the figure-shaped experiments as ASCII charts.
-func renderPlot(ctx context.Context, w io.Writer, name string, cfg experiments.Config) {
-	switch name {
-	case "fig5":
-		_, series := experiments.Fig5()
-		c := stats.Chart{Title: "Figure 5 (shape)", XLabel: "V", YLabel: "efficiency", Series: series}
-		c.Render(w)
-	case "fig7":
-		_, tr := experiments.Fig7()
-		var series []stats.Series
-		for d := 0; d < tr.Base.Days; d++ {
-			s := stats.Series{Name: fmt.Sprintf("day%d", d+1)}
-			for p := 0; p < tr.Base.PeriodsPerDay; p++ {
-				s.Add(float64(p)*0.5, tr.PeriodEnergy(d, p)/tr.Base.PeriodSeconds()*1000)
-			}
-			series = append(series, s)
-		}
-		c := stats.Chart{Title: "Figure 7 (shape)", XLabel: "hour", YLabel: "mW", Series: series}
-		c.Render(w)
-	case "fig10a":
-		_, res, err := experiments.Fig10a(ctx, cfg)
-		if err != nil {
-			return
-		}
-		s := stats.Series{Name: "DMR"}
-		for _, r := range res {
-			s.Add(r.Hours, 100*r.DMR)
-		}
-		c := stats.Chart{Title: "Figure 10a (shape)", XLabel: "prediction hours", YLabel: "DMR %",
-			Series: []stats.Series{s}, Height: 10}
-		c.Render(w)
-	case "fig10b":
-		_, res, err := experiments.Fig10b(ctx, cfg)
-		if err != nil {
-			return
-		}
-		eff := stats.Series{Name: "migration eff %"}
-		dmr := stats.Series{Name: "DMR %"}
-		for _, r := range res {
-			eff.Add(float64(r.H), 100*r.MigrationEff)
-			dmr.Add(float64(r.H), 100*r.DMR)
-		}
-		c := stats.Chart{Title: "Figure 10b (shape)", XLabel: "capacitors H", YLabel: "%",
-			Series: []stats.Series{eff, dmr}, Height: 10}
-		c.Render(w)
-	}
+	return 1
 }
 
 // parseGrid parses the -faults intensity grid.
@@ -311,25 +193,6 @@ func parseGrid(s string) ([]float64, error) {
 	return out, nil
 }
 
-func selectBenchmarks(filter string) ([]*task.Graph, error) {
-	if filter == "" {
-		return nil, nil // all
-	}
-	byName := map[string]*task.Graph{}
-	for _, g := range task.AllBenchmarks() {
-		byName[strings.ToLower(g.Name)] = g
-	}
-	var out []*task.Graph
-	for _, name := range strings.Split(filter, ",") {
-		g, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", name)
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
 func writeCSV(dir, name string, tbl *stats.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -346,31 +209,17 @@ func writeCSV(dir, name string, tbl *stats.Table) error {
 }
 
 func usage() {
+	var exps strings.Builder
+	table.writeUsage(&exps)
 	fmt.Fprintf(os.Stderr, `solarsched — regenerate the DAC'15 evaluation tables and figures
 
 usage: solarsched [flags] <experiment>...
 
-experiments:
-  fig5      regulator efficiency curves
-  fig7      solar power of four representative days
-  table2    energy migration efficiencies (model vs test)
-  fig8      DMR comparison over four days, six benchmarks
-  fig9      two-month DMR and energy utilization (WAM)
-  fig10a    solar prediction length sweep
-  fig10b    distributed capacitor count sweep
-  overhead  on-node algorithm cost (93.5 kHz)
-  all       everything above
-
-ablations (design-choice studies, not in the paper's figures):
-  ablation-thresholds   delta and E_th selection thresholds
-  ablation-ann          DBN layer/neuron sweep
-  ablation-guards       online selection guards on/off
-  ablation-predictor    solar predictor of the Inter-task baseline
-  ablation-dvfs         DVFS load-tuning extension vs baselines
-  ablations             all five
-  robustness            DMR distribution over independent weather draws
-  faultsweep            DMR vs fault intensity, hardened vs plain proposed
-                        (-faults grid, -fault-seed)
+%s
+node simulation:
+  node workload|size|train|run
+                        simulate the solar node on custom workloads
+                        (see "solarsched node")
 
 batch runs:
   fleet <spec.json>     run a batch of simulations on the shared-cache
@@ -390,6 +239,6 @@ capacitor and solar tools:
   trace gen|info|days   synthetic solar trace tool (see "solarsched trace")
 
 flags:
-`)
+`, exps.String())
 	flag.PrintDefaults()
 }

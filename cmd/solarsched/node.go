@@ -1,29 +1,13 @@
-// Command nodesim runs the simulated sensor node on user-supplied
-// workloads: export or author a workload JSON, train the long-term
-// scheduler's network offline, and simulate any scheduler over any trace.
+// The node subcommand runs the simulated sensor node on user-supplied
+// workloads (see nodeUsage): export or author a workload JSON, size a
+// capacitor bank, train the long-term scheduler's network offline, and
+// simulate any scheduler over any trace. Here optimal is the clairvoyant
+// receding-horizon DP, not the fleet's replayed whole-trace plan.
 //
-// Usage:
-//
-//	nodesim workload -benchmark wam -o wam.json
-//	nodesim size     -workload wam.json -days 16 -seed 777 -h 4
-//	nodesim train    -workload wam.json -days 16 -seed 777 -bank 2,10,50 -o model.json
-//	nodesim run      -workload wam.json -scheduler proposed -model model.json -bank 2,10,50 [-trace t.csv]
-//	nodesim run      -workload wam.json -scheduler intra -bank 25
-//
-// Schedulers: asap, inter, intra, dvfs, optimal, proposed.
-// Without -trace, the four representative days are simulated.
-//
-// Every subcommand additionally accepts the observability flags
-// (-metrics, -metrics-format, -metrics-out, -cpuprofile, -memprofile,
-// -exectrace) and -quiet, which silences diagnostics so that only the
-// metrics emission can reach stdout.
-//
-// The run subcommand checkpoints: `-checkpoint run.ckpt` persists the
-// complete run state crash-consistently during the simulation, and
-// `-resume` continues a killed run from its last checkpoint — the final
-// metrics digest is bit-identical to an uninterrupted run. SIGINT or
-// SIGTERM stops the run at the next period boundary (flushing a final
-// checkpoint) and exits with status 130.
+// The run verb checkpoints: -resume continues a killed run from its last
+// checkpoint to a metrics digest bit-identical to an uninterrupted run's.
+// SIGINT or SIGTERM stops the run at the next period boundary (flushing a
+// final checkpoint) and exits with status 130.
 package main
 
 import (
@@ -31,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -51,116 +34,89 @@ import (
 	"solarsched/internal/task"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "workload":
-		err = workloadCmd(os.Args[2:])
-	case "size":
-		err = sizeCmd(os.Args[2:])
-	case "train":
-		err = trainCmd(os.Args[2:])
-	case "run":
-		err = runCmd(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		logger, _ := obs.NewLogger(os.Stderr, obs.LogText, false)
-		logger.Error("command failed", "cmd", os.Args[1], "err", err)
-		os.Exit(cli.ExitCode(err))
-	}
+const nodeUsage = `solarsched node — simulate the solar node on custom workloads
+
+usage:
+  solarsched node workload -benchmark wam -o wam.json
+  solarsched node size     -workload wam.json [-days N] [-seed S] [-h H]
+  solarsched node train    -workload wam.json -bank 2,10,50 [-days N] [-seed S] [-o model.json]
+  solarsched node run      -workload wam.json -scheduler NAME -bank 2,10,50 [-model model.json] [-trace t.csv] [-log slots.csv]
+                           [-faults SPEC] [-fault-seed N] [-harden]
+                           [-checkpoint run.ckpt [-resume] [-ckpt-every N]]
+
+checkpointing (run):
+  -checkpoint FILE                 persist the run state crash-consistently during the run
+  -ckpt-every N                    periods between durable checkpoints
+                                   (default 0: every period, at most one write per second)
+  -resume                          continue from the -checkpoint file; the final metrics
+                                   digest matches the uninterrupted run bit for bit
+  SIGINT/SIGTERM flush a final checkpoint at the next period boundary and exit 130
+
+fault injection (run):
+  -faults λ                        scale the reference fault profile by λ (0 disables)
+  -faults key=value,...            set individual intensities; keys: outage, outage-slots,
+                                   solar-noise, solar-drop, volt-noise, volt-drop, volt-quant,
+                                   cap-fade, leak-growth, eff-fade, switch-drop, dbn
+  -fault-seed N                    make the injected fault pattern reproducible
+  -harden                          graceful degradation for -scheduler proposed
+
+every verb also accepts:
+  -quiet                           suppress diagnostics (metrics output still reaches stdout)
+  -metrics                         collect and emit instrumentation when done
+  -metrics-format prom|json|summary
+  -metrics-out FILE                metrics destination (default stdout)
+  -cpuprofile/-memprofile/-exectrace FILE
+`
+
+// runNode is the `node` subcommand body.
+func runNode(args []string) int {
+	return runVerbs("node", nodeUsage, args, map[string]func([]string) error{
+		"workload": nodeWorkload,
+		"size":     nodeSize,
+		"train":    nodeTrain,
+		"run":      nodeRun,
+	})
 }
 
-// obsFlags registers the shared diagnostic and observability flags on a
-// subcommand's flag set. After fs.Parse, call the returned setup: it
-// starts the requested profilers and hands back the diagnostic writer
-// (io.Discard under -quiet), the structured logger (honoring -quiet and
-// -log-format), the observer registry (nil unless -metrics) and the
-// profiler stop function. The caller must defer finish with a pointer to
-// its named error so profiles are flushed and metrics emitted on every
-// exit path.
-func obsFlags(fs *flag.FlagSet, of *obs.Flags) (setup func() (io.Writer, *slog.Logger, *obs.Registry, func() error, error)) {
+// openNode registers -quiet and the observability flags on a node verb's
+// flag set, parses args and opens the verb's session.
+func openNode(fs *flag.FlagSet, args []string) (*obs.Session, error) {
 	quiet := fs.Bool("quiet", false, "suppress diagnostics; only metrics output reaches stdout")
+	var of obs.Flags
 	of.Register(fs)
-	return func() (io.Writer, *slog.Logger, *obs.Registry, func() error, error) {
-		diag := io.Writer(os.Stdout)
-		if *quiet {
-			diag = io.Discard
-		}
-		logger, err := of.Logger(*quiet)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		var reg *obs.Registry
-		if of.Metrics {
-			reg = obs.Default()
-		}
-		stop, err := of.Start()
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return diag, logger, reg, stop, nil
-	}
+	fs.Parse(args)
+	return of.Open(*quiet)
 }
 
-// finish stops profilers and emits metrics, folding any of their errors
-// into the subcommand's named return error (work errors win).
-func finish(of *obs.Flags, stop func() error, errp *error) {
-	if serr := stop(); serr != nil && *errp == nil {
-		*errp = serr
-	}
-	if *errp == nil {
-		*errp = of.Emit(os.Stdout, obs.Default())
-	}
-}
-
-func workloadCmd(args []string) (err error) {
+func nodeWorkload(args []string) (err error) {
 	fs := flag.NewFlagSet("workload", flag.ExitOnError)
 	name := fs.String("benchmark", "wam", "builtin benchmark to export (wam, ecg, shm, random1..3)")
 	out := fs.String("o", "", "output path (default stdout)")
-	var of obs.Flags
-	setup := obsFlags(fs, &of)
-	fs.Parse(args)
-	_, _, _, stop, err := setup()
+	s, err := openNode(fs, args)
 	if err != nil {
 		return err
 	}
-	defer finish(&of, stop, &err)
+	defer s.Close(&err)
 
 	if *out == "" {
-		return workloadCmdTo(os.Stdout, *name)
+		return writeWorkload(os.Stdout, *name)
 	}
 	w, err := atomicio.NewWriter(*out, 0o644)
 	if err != nil {
 		return err
 	}
 	defer w.Abort()
-	if err := workloadCmdTo(w, *name); err != nil {
+	if err := writeWorkload(w, *name); err != nil {
 		return err
 	}
 	return w.Commit()
 }
 
-// workloadCmdTo writes the named builtin benchmark as workload JSON.
-func workloadCmdTo(w io.Writer, name string) error {
-	var g *task.Graph
-	switch strings.ToLower(name) {
-	case "wam":
-		g = task.WAM()
-	case "ecg":
-		g = task.ECG()
-	case "shm":
-		g = task.SHM()
-	case "random1", "random2", "random3":
-		g = task.RandomCase(int(name[len(name)-1] - '0'))
-	default:
-		return fmt.Errorf("unknown benchmark %q", name)
+// writeWorkload writes the named builtin benchmark as workload JSON.
+func writeWorkload(w io.Writer, name string) error {
+	g, err := task.ByName(name)
+	if err != nil {
+		return err
 	}
 	return g.WriteJSON(w)
 }
@@ -196,20 +152,17 @@ func trainingTrace(days int, seed uint64) (*solar.Trace, error) {
 	return solar.Generate(solar.GenConfig{Base: solar.DefaultTimeBase(days), Seed: seed})
 }
 
-func sizeCmd(args []string) (err error) {
+func nodeSize(args []string) (err error) {
 	fs := flag.NewFlagSet("size", flag.ExitOnError)
 	workload := fs.String("workload", "", "workload JSON path")
 	days := fs.Int("days", 16, "training history length (days)")
 	seed := fs.Uint64("seed", 777, "training trace seed")
 	h := fs.Int("h", 4, "number of distributed capacitors")
-	var of obs.Flags
-	setup := obsFlags(fs, &of)
-	fs.Parse(args)
-	diag, _, reg, stop, err := setup()
+	s, err := openNode(fs, args)
 	if err != nil {
 		return err
 	}
-	defer finish(&of, stop, &err)
+	defer s.Close(&err)
 
 	tb := solar.DefaultTimeBase(*days)
 	g, err := loadWorkload(*workload, tb.PeriodSeconds())
@@ -220,7 +173,7 @@ func sizeCmd(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	span := reg.StartSpan("offline/sizing")
+	span := s.Reg.StartSpan("offline/sizing")
 	bank := sizing.SizeBank(tr, g, *h, supercap.DefaultParams(), sim.DefaultDirectEff)
 	eff := sizing.BankMigrationEfficiency(tr, g, bank, supercap.DefaultParams(), sim.DefaultDirectEff)
 	span.End()
@@ -228,26 +181,23 @@ func sizeCmd(args []string) (err error) {
 	for i, c := range bank {
 		parts[i] = fmt.Sprintf("%.2f", c)
 	}
-	fmt.Fprintf(diag, "bank: %s F\nmigration efficiency over history: %.1f%%\n",
+	fmt.Fprintf(s.Diag, "bank: %s F\nmigration efficiency over history: %.1f%%\n",
 		strings.Join(parts, ","), 100*eff)
 	return nil
 }
 
-func trainCmd(args []string) (err error) {
+func nodeTrain(args []string) (err error) {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	workload := fs.String("workload", "", "workload JSON path")
 	days := fs.Int("days", 16, "training history length (days)")
 	seed := fs.Uint64("seed", 777, "training trace seed")
 	bankStr := fs.String("bank", "", "comma-separated capacitances (F)")
 	out := fs.String("o", "model.json", "model output path")
-	var of obs.Flags
-	setup := obsFlags(fs, &of)
-	fs.Parse(args)
-	diag, _, reg, stop, err := setup()
+	s, err := openNode(fs, args)
 	if err != nil {
 		return err
 	}
-	defer finish(&of, stop, &err)
+	defer s.Close(&err)
 
 	tb := solar.DefaultTimeBase(*days)
 	g, err := loadWorkload(*workload, tb.PeriodSeconds())
@@ -263,7 +213,7 @@ func trainCmd(args []string) (err error) {
 		return err
 	}
 	pc := core.DefaultPlanConfig(g, tb, bank)
-	pc.Observer = reg
+	pc.Observer = s.Reg
 	net, loss, err := core.Train(pc, tr, core.DefaultTrainOptions())
 	if err != nil {
 		return err
@@ -279,11 +229,11 @@ func trainCmd(args []string) (err error) {
 	if err := w.Commit(); err != nil {
 		return err
 	}
-	fmt.Fprintf(diag, "trained on %d days (final loss %.3f), model written to %s\n", *days, loss, *out)
+	fmt.Fprintf(s.Diag, "trained on %d days (final loss %.3f), model written to %s\n", *days, loss, *out)
 	return nil
 }
 
-func runCmd(args []string) (err error) {
+func nodeRun(args []string) (err error) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	workload := fs.String("workload", "", "workload JSON path")
 	schedName := fs.String("scheduler", "intra", "asap | inter | intra | dvfs | optimal | proposed")
@@ -296,16 +246,14 @@ func runCmd(args []string) (err error) {
 	harden := fs.Bool("harden", false, "enable graceful degradation on the proposed scheduler (sanitizer, watchdog fallback, E_th debounce)")
 	var ck cli.CheckpointFlags
 	ck.Register(fs)
-	var of obs.Flags
-	setup := obsFlags(fs, &of)
-	fs.Parse(args)
-	diag, logger, reg, stop, err := setup()
+	s, err := openNode(fs, args)
 	if err != nil {
 		return err
 	}
-	defer finish(&of, stop, &err)
+	defer s.Close(&err)
 	ctx, cancel := cli.SignalContext()
 	defer cancel()
+	diag, reg := s.Diag, s.Reg
 
 	var tr *solar.Trace
 	if *tracePath == "" {
@@ -339,20 +287,20 @@ func runCmd(args []string) (err error) {
 		return fmt.Errorf("-harden only applies to the proposed scheduler")
 	}
 
-	var s sim.Scheduler
+	var sch sim.Scheduler
 	switch strings.ToLower(*schedName) {
 	case "asap":
-		s = sched.NewASAP(g)
+		sch = sched.NewASAP(g)
 	case "inter":
-		s = sched.NewInterLSA(g, tr.Base, sim.DefaultDirectEff)
+		sch = sched.NewInterLSA(g, tr.Base, sim.DefaultDirectEff)
 	case "intra":
-		s = sched.NewIntraMatch(g)
+		sch = sched.NewIntraMatch(g)
 	case "dvfs":
-		s = dvfs.NewLoadTune(g)
+		sch = dvfs.NewLoadTune(g)
 	case "optimal":
 		pc := core.DefaultPlanConfig(g, tr.Base, bank)
 		pc.Observer = reg
-		s, err = core.NewClairvoyant(pc, tr, 48)
+		sch, err = core.NewClairvoyant(pc, tr, 48)
 		if err != nil {
 			return err
 		}
@@ -379,7 +327,7 @@ func runCmd(args []string) (err error) {
 			hc := core.DefaultHardenConfig()
 			p.Harden = &hc
 		}
-		s = p
+		sch = p
 	default:
 		return fmt.Errorf("unknown scheduler %q", *schedName)
 	}
@@ -409,10 +357,10 @@ func runCmd(args []string) (err error) {
 		fmt.Fprintf(diag, "resuming from %s at period %d of %d\n",
 			store.Path(), resumed.NextPeriod, tr.Base.TotalPeriods())
 	}
-	res, err := eng.Run(ctx, s, opts...)
+	res, err := eng.Run(ctx, sch, opts...)
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) && store != nil {
-			logger.Warn("run interrupted", "resume_hint",
+			s.Logger.Warn("run interrupted", "resume_hint",
 				fmt.Sprintf("-resume -checkpoint %s", store.Path()))
 		}
 		return err
@@ -428,7 +376,7 @@ func runCmd(args []string) (err error) {
 		}
 	}
 	fmt.Fprintf(diag, "scheduler: %s\nworkload:  %s (%d tasks, %d NVPs)\ntrace:     %d days, %.0f J harvest\n\n",
-		s.Name(), g.Name, g.N(), g.NumNVPs, tr.Base.Days, tr.TotalEnergy())
+		sch.Name(), g.Name, g.N(), g.NumNVPs, tr.Base.Days, tr.TotalEnergy())
 	fmt.Fprintf(diag, "deadline miss rate: %.1f%% (%d of %d task instances)\n",
 		100*res.DMR(), res.MissedTasks(), res.TotalTasks())
 	fmt.Fprintf(diag, "energy: delivered %.0f J of %.0f J harvested (util %.1f%%, direct-use %.1f%%)\n",
@@ -446,40 +394,4 @@ func runCmd(args []string) (err error) {
 	// digest produced bit-identical results (the resume guarantee).
 	fmt.Fprintf(diag, "metrics digest: %s\n", res.Digest())
 	return nil
-}
-
-func usage() {
-	fmt.Fprint(os.Stderr, `nodesim — simulate the solar node on custom workloads
-
-usage:
-  nodesim workload -benchmark wam -o wam.json
-  nodesim size     -workload wam.json [-days N] [-seed S] [-h H]
-  nodesim train    -workload wam.json -bank 2,10,50 [-days N] [-seed S] [-o model.json]
-  nodesim run      -workload wam.json -scheduler NAME -bank 2,10,50 [-model model.json] [-trace t.csv] [-log slots.csv]
-                   [-faults SPEC] [-fault-seed N] [-harden]
-                   [-checkpoint run.ckpt [-resume] [-ckpt-every N]]
-
-checkpointing (run):
-  -checkpoint FILE                 persist the run state crash-consistently during the run
-  -ckpt-every N                    periods between durable checkpoints
-                                   (default 0: every period, at most one write per second)
-  -resume                          continue from the -checkpoint file; the final metrics
-                                   digest matches the uninterrupted run bit for bit
-  SIGINT/SIGTERM flush a final checkpoint at the next period boundary and exit 130
-
-fault injection (run):
-  -faults λ                        scale the reference fault profile by λ (0 disables)
-  -faults key=value,...            set individual intensities; keys: outage, outage-slots,
-                                   solar-noise, solar-drop, volt-noise, volt-drop, volt-quant,
-                                   cap-fade, leak-growth, eff-fade, switch-drop, dbn
-  -fault-seed N                    make the injected fault pattern reproducible
-  -harden                          graceful degradation for -scheduler proposed
-
-every subcommand also accepts:
-  -quiet                           suppress diagnostics (metrics output still reaches stdout)
-  -metrics                         collect and emit instrumentation when done
-  -metrics-format prom|json|summary
-  -metrics-out FILE                metrics destination (default stdout)
-  -cpuprofile/-memprofile/-exectrace FILE
-`)
 }

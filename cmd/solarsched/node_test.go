@@ -32,7 +32,7 @@ func TestLoadWorkloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workloadCmdTo(f, "ecg"); err != nil {
+	if err := writeWorkload(f, "ecg"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -72,12 +72,12 @@ func TestEndToEndMetricsEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workloadCmdTo(f, "ecg"); err != nil {
+	if err := writeWorkload(f, "ecg"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	if err := trainCmd([]string{
+	if err := nodeTrain([]string{
 		"-workload", workload, "-days", "2", "-seed", "7", "-bank", "2,10",
 		"-o", model, "-quiet",
 		"-metrics", "-metrics-format", "summary", "-metrics-out", filepath.Join(dir, "train.txt"),
@@ -86,7 +86,7 @@ func TestEndToEndMetricsEmission(t *testing.T) {
 	}
 	run := func(format, out string) {
 		t.Helper()
-		if err := runCmd([]string{
+		if err := nodeRun([]string{
 			"-workload", workload, "-scheduler", "proposed", "-model", model,
 			"-bank", "2,10", "-quiet",
 			"-metrics", "-metrics-format", format, "-metrics-out", out,

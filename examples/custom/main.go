@@ -1,5 +1,5 @@
 // Custom workload walkthrough: define your own task graph in code, save it
-// as a workload JSON (the cmd/nodesim format), size a capacitor bank for a
+// as a workload JSON (the `solarsched node` format), size a capacitor bank for a
 // site-specific solar history, and compare schedulers — everything a
 // downstream user needs to deploy the library on their own application.
 //
@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("workload: %s — %d tasks, %.1f J per period\n",
 		graph.Name, graph.N(), graph.PeriodEnergy())
 
-	// Persist the workload in the nodesim JSON format.
+	// Persist the workload in the `solarsched node` JSON format.
 	path := filepath.Join(os.TempDir(), "irrigation.json")
 	f, err := os.Create(path)
 	if err != nil {
@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	f.Close()
-	fmt.Printf("workload written to %s (usable with cmd/nodesim)\n\n", path)
+	fmt.Printf("workload written to %s (usable with solarsched node -workload)\n\n", path)
 
 	// Size a bank against a site history and compare schedulers.
 	history, err := solarsched.GenerateTrace(solarsched.GenConfig{

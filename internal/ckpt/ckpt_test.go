@@ -72,7 +72,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestCheckpointFixture pins the on-disk format: a checkpoint written by
-// an earlier build (nodesim run -scheduler inter on wam, bank 2,10) must
+// an earlier build (`node run -scheduler inter` on wam, bank 2,10) must
 // still load, and re-encoding its state must give the same bytes.
 func TestCheckpointFixture(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "inter-wam.ckpt"))

@@ -1,6 +1,8 @@
-// Package cli holds the plumbing shared by the command-line tools:
-// signal-aware contexts for graceful shutdown, conventional exit codes,
-// and the checkpoint/resume flag bundle wired into ckpt and sim.
+// Package cli holds the plumbing shared by the two commands, solarsched
+// (experiment mode and its node, fleet, cap and trace verbs) and the
+// solarschedd daemon: signal-aware contexts for graceful shutdown,
+// conventional exit codes, and the checkpoint/resume flag bundle wired
+// into ckpt and sim.
 package cli
 
 import (

@@ -319,11 +319,17 @@ func TestOptimalStaticRuns(t *testing.T) {
 	if d := res.DMR(); d < 0 || d > 1 {
 		t.Fatalf("DMR = %v", d)
 	}
-	if opt.LUT().Size() == 0 {
-		t.Fatal("planning built no LUT entries")
-	}
-	if len(opt.Plan().Decisions) != tr.Base.TotalPeriods() {
+	plan := opt.Plan()
+	if len(plan.Decisions) != tr.Base.TotalPeriods() {
 		t.Fatal("plan length mismatch")
+	}
+	if plan.Expansions == 0 {
+		t.Fatal("planning expanded no DP states")
+	}
+	for i, d := range plan.Decisions {
+		if d.CapIdx < 0 || d.CapIdx >= len(pc.Capacitances) {
+			t.Fatalf("decision %d: capacitor %d outside the bank", i, d.CapIdx)
+		}
 	}
 }
 

@@ -133,24 +133,22 @@ func (c *Cache) Network(ctx context.Context, pc core.PlanConfig, tr *solar.Trace
 	return v.(*ann.Network), nil
 }
 
-// PlanArtifact is the cached whole-trace DP solution: the plan itself plus
-// the minimum-energy LUT entries materialized while solving it.
+// PlanArtifact is the cached whole-trace DP solution.
 type PlanArtifact struct {
-	Plan    core.PlanResult
-	Entries []core.LUTEntry
+	Plan core.PlanResult
 }
 
 // Plan returns the §4.2 long-term DP solution over tr. Replay it with
-// core.NewOptimalFromPlan, which builds a private LUT per scheduler
-// instance (core.LUT is not safe to share across runs).
+// core.NewOptimalFromPlan, which builds private fine-grained stages per
+// scheduler instance.
 func (c *Cache) Plan(ctx context.Context, pc core.PlanConfig, tr *solar.Trace) (*PlanArtifact, error) {
 	key := artifactKey("plan", planConfigParts(pc), TraceDigest(tr))
 	v, err := c.Do(ctx, key, func() (any, error) {
-		plan, entries, err := core.PlanTrace(pc, tr)
+		plan, err := core.PlanTrace(pc, tr)
 		if err != nil {
 			return nil, err
 		}
-		return &PlanArtifact{Plan: plan, Entries: entries}, nil
+		return &PlanArtifact{Plan: plan}, nil
 	})
 	if err != nil {
 		return nil, err

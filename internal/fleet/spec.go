@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"solarsched/internal/ann"
 	"solarsched/internal/core"
@@ -193,7 +192,7 @@ func (fs *FileSpec) Resolved() ([]RunSpec, error) {
 		if rs.ID == "" {
 			rs.ID = fmt.Sprintf("%s-%s-%d#%d", rs.Graph, rs.Scheduler, rs.Trace.Seed, i)
 		}
-		if _, err := graphByName(rs.Graph); err != nil {
+		if _, err := task.ByName(rs.Graph); err != nil {
 			return nil, fmt.Errorf("fleet: run %s: %w", rs.ID, err)
 		}
 		if !knownScheduler(rs.Scheduler) {
@@ -232,21 +231,6 @@ func (fs *FileSpec) CompileWith(reg *obs.Registry, extra func(rs RunSpec) []sim.
 		})
 	}
 	return specs, nil
-}
-
-func graphByName(name string) (*task.Graph, error) {
-	switch strings.ToLower(name) {
-	case "wam":
-		return task.WAM(), nil
-	case "ecg":
-		return task.ECG(), nil
-	case "shm":
-		return task.SHM(), nil
-	case "random1", "random2", "random3":
-		return task.RandomCase(int(name[len(name)-1] - '0')), nil
-	default:
-		return nil, fmt.Errorf("unknown benchmark %q", name)
-	}
 }
 
 func knownScheduler(name string) bool {
@@ -288,7 +272,7 @@ func (ts TraceSpec) evalTrace(ctx context.Context, c *Cache) (*solar.Trace, erro
 // optimal schedulers — teacher samples, trained network or whole-trace
 // plan.
 func (rs RunSpec) prepare(ctx context.Context, c *Cache, reg *obs.Registry) (*Job, error) {
-	g, err := graphByName(rs.Graph)
+	g, err := task.ByName(rs.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +335,7 @@ func (rs RunSpec) prepare(ctx context.Context, c *Cache, reg *obs.Registry) (*Jo
 		if err != nil {
 			return nil, err
 		}
-		s, err = core.NewOptimalFromPlan(pc, tr, art.Plan, art.Entries)
+		s, err = core.NewOptimalFromPlan(pc, tr, art.Plan)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +360,7 @@ func (rs RunSpec) prepare(ctx context.Context, c *Cache, reg *obs.Registry) (*Jo
 // every later call (and every fleet member sharing the configuration) is
 // a cache hit.
 func NetworkFor(ctx context.Context, c *Cache, reg *obs.Registry, graph string, h int, train TrainSpec) (core.PlanConfig, *ann.Network, error) {
-	g, err := graphByName(graph)
+	g, err := task.ByName(graph)
 	if err != nil {
 		return core.PlanConfig{}, nil, err
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,6 +13,10 @@ const (
 	LogText = "text"
 	LogJSON = "json"
 )
+
+// ErrLogFormat reports a log format NewLogger does not know; commands
+// treat it as a usage error.
+var ErrLogFormat = errors.New("obs: unknown log format")
 
 // NewLogger builds the leveled logger the CLIs and the daemon share. The
 // format is LogText (human-readable key=value lines) or LogJSON (one JSON
@@ -34,7 +39,7 @@ func NewLogger(w io.Writer, format string, quiet bool) (*slog.Logger, error) {
 	case LogJSON:
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
-		return nil, fmt.Errorf("obs: unknown log format %q (want text or json)", format)
+		return nil, fmt.Errorf("%w %q (want text or json)", ErrLogFormat, format)
 	}
 }
 

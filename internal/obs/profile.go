@@ -13,18 +13,18 @@ import (
 	"solarsched/internal/atomicio"
 )
 
-// Flags bundles the opt-in profiling and metrics-emission flags every cmd
-// binary exposes. Register the flags, call Start before the work and
-// Finish after it:
+// Flags bundles the opt-in profiling, metrics-emission and log-format
+// flags every command exposes. Register the flags, parse, then open one
+// session around the command's work:
 //
 //	var of obs.Flags
 //	of.Register(fs)
 //	fs.Parse(args)
-//	stop, err := of.Start()
-//	...
-//	defer stop()
-//	...
-//	of.Emit(os.Stdout, obs.Default())
+//	s, err := of.Open(quiet)
+//	if err != nil {
+//		return err
+//	}
+//	defer s.Close(&err)
 type Flags struct {
 	CPUProfile string
 	MemProfile string
@@ -120,30 +120,83 @@ func (f *Flags) Start() (stop func() error, err error) {
 	}, nil
 }
 
-// WithFlags is the one-call integration for simple subcommands: it
-// registers the observability flags on fs (after the caller's own), parses
-// args, and runs fn bracketed by profiler start/stop and metrics emission
-// from the process-default registry. fn's error wins over cleanup errors.
+// Session is one command's open observability session: where its
+// diagnostics go, its logger, the registry its work reports to, and the
+// profiles that Close flushes.
+type Session struct {
+	// Diag receives the command's human-readable output: stdout, or
+	// io.Discard under the caller's -quiet.
+	Diag io.Writer
+	// Logger writes leveled diagnostics to stderr (see Flags.Logger).
+	Logger *slog.Logger
+	// Reg is Default() under -metrics, otherwise nil (instrumentation
+	// off).
+	Reg *Registry
+
+	flags *Flags
+	stop  func() error
+}
+
+// Open starts the command's observability session after its flags are
+// parsed: it builds the logger (quiet raises its level to Error and
+// silences Diag) and starts the CPU profile and the execution trace.
+//
+// One rule covers every exit: once Open succeeds, Close stops and flushes
+// the CPU profile, the execution trace and the heap profile and then
+// emits the metrics, whether the work succeeded, failed or was canceled.
+// The work's own error still decides the exit status; a cleanup error is
+// reported only when the work succeeded.
+func (f *Flags) Open(quiet bool) (*Session, error) {
+	logger, err := f.Logger(quiet)
+	if err != nil {
+		return nil, err
+	}
+	stop, err := f.Start()
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{Diag: os.Stdout, Logger: logger, flags: f, stop: stop}
+	if quiet {
+		s.Diag = io.Discard
+	}
+	if f.Metrics {
+		s.Reg = Default()
+	}
+	return s, nil
+}
+
+// Close ends the session under Open's rule. errp points at the command's
+// error: Close leaves a non-nil one alone and otherwise stores the first
+// cleanup error. Defer it right after Open:
+//
+//	defer s.Close(&err)
+func (s *Session) Close(errp *error) {
+	err := s.stop()
+	if eerr := s.flags.Emit(os.Stdout, Default()); err == nil {
+		err = eerr
+	}
+	if *errp == nil {
+		*errp = err
+	}
+}
+
+// WithFlags is the one-call session for simple subcommands: it registers
+// the observability flags on fs (after the caller's own), parses args and
+// runs fn inside a session opened without -quiet.
 //
 //	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 //	days := fs.Int("days", 7, "...")
 //	return obs.WithFlags(fs, args, func() error { ... })
-func WithFlags(fs *flag.FlagSet, args []string, fn func() error) error {
+func WithFlags(fs *flag.FlagSet, args []string, fn func() error) (err error) {
 	var f Flags
 	f.Register(fs)
 	fs.Parse(args)
-	stop, err := f.Start()
+	s, err := f.Open(false)
 	if err != nil {
 		return err
 	}
-	err = fn()
-	if serr := stop(); serr != nil && err == nil {
-		err = serr
-	}
-	if err == nil {
-		err = f.Emit(os.Stdout, Default())
-	}
-	return err
+	defer s.Close(&err)
+	return fn()
 }
 
 // Emit writes the registry's snapshot in the configured format when

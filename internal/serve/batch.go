@@ -180,12 +180,14 @@ func (b *decideBatcher) flush(batch *decideBatch) {
 
 	b.flushes.Inc()
 	b.batchSize.Observe(float64(len(live)))
+	// Count before replying: a client that reads the counter right after
+	// its answer arrives must already see its own request.
+	b.reqs.Add(float64(len(live)))
 	for i, it := range live {
 		out := decideOutcome{err: err}
 		if err == nil {
 			out.d = ds[i]
 		}
 		it.done <- out // buffered: never blocks, even if the waiter left
-		b.reqs.Inc()
 	}
 }

@@ -135,11 +135,6 @@ type Config struct {
 	// from Faults.Seed, so concurrent Runs stay independent and two runs
 	// with equal configs produce identical fault patterns.
 	Faults fault.Config
-
-	// SlotSpans additionally emits a span per simulated slot. Off by
-	// default: it samples the wall clock twice per slot, which is
-	// measurable next to the ~µs slot execution itself.
-	SlotSpans bool
 }
 
 // Observable is an optional Scheduler extension: the engine hands the
@@ -454,10 +449,6 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 		kern.allowed = plan.Allowed
 
 		for slot := 0; slot < tb.SlotsPerPeriod; slot++ {
-			var slotSpan *obs.Span
-			if e.cfg.SlotSpans {
-				slotSpan = periodSpan.Child("slot")
-			}
 			solarW := e.cfg.Trace.At(day, period, slot)
 			var st SlotStats
 			if inj.DeadSlot() {
@@ -505,7 +496,6 @@ func (e *Engine) run(s Scheduler, opts RunOptions) (*Result, error) {
 					PeriodMisses: ts.Misses(),
 				})
 			}
-			slotSpan.End()
 		}
 		res.recordPeriod(ts.Misses())
 		lastEnergy = e.cfg.Trace.PeriodEnergy(day, period)

@@ -1,5 +1,10 @@
 package task
 
+import (
+	"fmt"
+	"strings"
+)
+
 // The three real benchmarks of §6.1. Task names follow the paper's
 // footnotes; execution times and powers are calibrated stand-ins for the
 // paper's C2RTL + ModelSim/DC-compiler characterization at SMIC 130 nm (see
@@ -114,11 +119,38 @@ func RandomCase(i int) *Graph {
 		uint64(1000+i), 1800, 60)
 }
 
+// benchmarks lists the six evaluation benchmarks of §6.1 in the paper's
+// order, each under the name its graph carries.
+var benchmarks = []struct {
+	name  string
+	build func() *Graph
+}{
+	{"Random1", func() *Graph { return RandomCase(1) }},
+	{"Random2", func() *Graph { return RandomCase(2) }},
+	{"Random3", func() *Graph { return RandomCase(3) }},
+	{"WAM", WAM},
+	{"ECG", ECG},
+	{"SHM", SHM},
+}
+
 // AllBenchmarks returns the six evaluation benchmarks of §6.1 in the
 // paper's order: three random cases then WAM, ECG, SHM.
 func AllBenchmarks() []*Graph {
-	return []*Graph{
-		RandomCase(1), RandomCase(2), RandomCase(3),
-		WAM(), ECG(), SHM(),
+	out := make([]*Graph, len(benchmarks))
+	for i, b := range benchmarks {
+		out[i] = b.build()
 	}
+	return out
+}
+
+// ByName builds the benchmark of AllBenchmarks whose name matches, in any
+// case: wam, ecg, shm, random1, random2 or random3. Only the matching
+// graph is built.
+func ByName(name string) (*Graph, error) {
+	for _, b := range benchmarks {
+		if strings.EqualFold(b.name, name) {
+			return b.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown benchmark %q", name)
 }

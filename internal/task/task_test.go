@@ -1,11 +1,39 @@
 package task
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 const period = 1800.0
+
+// TestByName pins the accepted benchmark names: the six of
+// AllBenchmarks in any case, each resolving to the graph of that name,
+// and nothing else.
+func TestByName(t *testing.T) {
+	for _, want := range AllBenchmarks() {
+		for _, name := range []string{want.Name, strings.ToLower(want.Name), strings.ToUpper(want.Name)} {
+			g, err := ByName(name)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", name, err)
+			}
+			if g.Name != want.Name || g.N() != want.N() {
+				t.Fatalf("ByName(%q) = %s with %d tasks, want %s with %d", name, g.Name, g.N(), want.Name, want.N())
+			}
+		}
+	}
+	for _, bad := range []string{"", "random", "random0", "random4", " wam", "wam2", "nope"} {
+		_, err := ByName(bad)
+		if err == nil {
+			t.Fatalf("ByName(%q) accepted", bad)
+		}
+		if want := fmt.Sprintf("unknown benchmark %q", bad); err.Error() != want {
+			t.Fatalf("ByName(%q) error = %q, want %q", bad, err, want)
+		}
+	}
+}
 
 func TestAllBenchmarksValid(t *testing.T) {
 	for _, g := range AllBenchmarks() {

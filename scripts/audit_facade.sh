@@ -108,6 +108,35 @@ for tool in capsim solartrace; do
   fi
 done
 
+# The node-simulation binary became `solarsched node`, with one
+# observability session (obs.Flags.Open) in place of its obsFlags/finish
+# and the experiment mode's stopAndEmit, and one benchmark lookup
+# (task.ByName) in place of fleet's graphByName. The binary may not come
+# back or be named in any tracked non-Markdown file or in the Markdown
+# docs readers follow (history records such as CHANGES.md keep the old
+# name), and the removed helpers may not reappear. The name is split so
+# this script does not match itself.
+gone=node''sim
+if [ -e "cmd/$gone" ]; then
+  echo "audit_facade: cmd/$gone is back (use solarsched node)" >&2
+  fail=1
+fi
+named=$(
+  git grep -nw "$gone" -- ':!*.md' || true
+  git grep -nw "$gone" -- README.md DESIGN.md EXPERIMENTS.md ROADMAP.md .claude || true
+)
+if [ -n "$named" ]; then
+  echo "audit_facade: removed $gone binary still named:" >&2
+  echo "$named" >&2
+  fail=1
+fi
+plumbing=$(grep -rnwE --include='*.go' 'obsFlags|stopAndEmit|graphByName' . || true)
+if [ -n "$plumbing" ]; then
+  echo "audit_facade: removed CLI plumbing in use (use obs.Flags.Open, task.ByName):" >&2
+  echo "$plumbing" >&2
+  fail=1
+fi
+
 # Orphan check: every internal package the facade imports must back at
 # least one re-export; a dangling import means a pruned symbol left its
 # import behind (goimports would drop it, but be explicit).

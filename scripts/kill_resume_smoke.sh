@@ -3,10 +3,10 @@
 # property end to end, against real SIGKILL, for every scheduler the CLI
 # exposes without a trained model.
 #
-# For each scheduler: run nodesim to completion for the reference digest,
-# then run it again with checkpointing, SIGKILL it at a random instant,
-# resume from the surviving checkpoint and require the final metrics
-# digest to match the reference bit for bit.
+# For each scheduler: run `solarsched node run` to completion for the
+# reference digest, then run it again with checkpointing, SIGKILL it at a
+# random instant, resume from the surviving checkpoint and require the
+# final metrics digest to match the reference bit for bit.
 #
 # Usage: scripts/kill_resume_smoke.sh [workdir]
 set -euo pipefail
@@ -15,19 +15,18 @@ work="${1:-$(mktemp -d)}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
-go build -o "$work/nodesim" ./cmd/nodesim
 go build -o "$work/solarsched" ./cmd/solarsched
 
-"$work/nodesim" workload -benchmark wam -o "$work/wam.json"
+"$work/solarsched" node workload -benchmark wam -o "$work/wam.json"
 "$work/solarsched" trace gen -days 30 -seed 5 -out "$work/trace.csv"
 
 digest() { grep '^metrics digest:' | awk '{print $3}'; }
 
 fail=0
 for sched in inter intra asap dvfs optimal; do
-  args=(run -workload "$work/wam.json" -scheduler "$sched" -bank 25
+  args=(node run -workload "$work/wam.json" -scheduler "$sched" -bank 25
         -trace "$work/trace.csv" -faults 0.5 -fault-seed 99)
-  want=$("$work/nodesim" "${args[@]}" | digest)
+  want=$("$work/solarsched" "${args[@]}" | digest)
 
   ckpt="$work/$sched.ckpt"
   killed=0
@@ -40,7 +39,7 @@ for sched in inter intra asap dvfs optimal; do
     rm -f "$ckpt" "$ckpt.prev" "$ckpt.journal"
     # -ckpt-every 1 makes every period durable, slowing the run enough
     # to open a kill window; the kill lands at a random instant.
-    "$work/nodesim" "${args[@]}" -checkpoint "$ckpt" -ckpt-every 1 >/dev/null 2>&1 &
+    "$work/solarsched" "${args[@]}" -checkpoint "$ckpt" -ckpt-every 1 >/dev/null 2>&1 &
     pid=$!
     sleep "$(awk -v ms="$delay_ms" -v j="$((RANDOM % 100))" 'BEGIN{printf "%.3f", ms/1000.0 * (1 + j/200.0)}')"
     if kill -9 "$pid" 2>/dev/null; then
@@ -64,7 +63,7 @@ for sched in inter intra asap dvfs optimal; do
     continue
   fi
 
-  got=$("$work/nodesim" "${args[@]}" -checkpoint "$ckpt" -resume | digest)
+  got=$("$work/solarsched" "${args[@]}" -checkpoint "$ckpt" -resume | digest)
   if [ "$got" = "$want" ]; then
     echo "OK   $sched: resume digest $got matches uninterrupted run"
   else
